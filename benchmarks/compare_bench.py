@@ -45,14 +45,12 @@ KNOWN_SUITES = (
     "e-churn",
     "e-soak",
     "e-sat",
-    "e-vec",
 )
 
 #: per-suite labels for a file's embedded before/after pair
 SUITE_SIDES = {
     "noc-speed": ("reference", "array"),
     "e-churn": ("cold", "warm"),
-    "e-vec": ("looped", "stacked"),
 }
 
 

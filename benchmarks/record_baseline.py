@@ -3,9 +3,9 @@
 Usage::
 
     python benchmarks/record_baseline.py [n]
-                                         [--suite heuristic|meta|noc|churn|soak|sat|vec]
+                                         [--suite heuristic|meta|noc|churn|soak|sat]
                                          [--rounds R] [--before FILE]
-                                         [--sat-gate X] [--vec-gate X]
+                                         [--sat-gate X]
 
 Suites:
 
@@ -72,18 +72,6 @@ Suites:
   (default 2.0) the unbatched single front **measured in the same
   run** (same machine, same minute — pass ``--sat-gate 0`` on shared
   CI runners where absolute throughput ratios flake).
-* ``vec`` (the **E-VEC** suite) — the multi-problem stacked evaluation
-  tier: a batch of E-SPEED-sized instances evaluated per instance
-  (looped, the pre-stacking path) vs through **one**
-  :class:`~repro.mesh.kernel.MultiProblemKernel` array pass (stacked,
-  what the sweep runner's trial chunks and the service batch front now
-  do).  Two rows: ``trial`` — the full :class:`RoutingReport` per
-  instance, the sweep runner's deferred-evaluation unit — and
-  ``request`` — strict total power + validity per instance, the
-  service batch front's final grading.  The looped side is embedded as
-  ``before_median_ms`` automatically, every stacked result is asserted
-  hex-identical to its looped counterpart while timing, and the
-  ``trial`` row gates on ``--vec-gate`` (default 1.5×) in-run.
 
 ``--before FILE`` embeds a previously recorded run of the same suite as
 ``before_median_ms`` and computes per-heuristic speedups — record the
@@ -199,12 +187,6 @@ SAT_CONFIGS = {
         "--max-batch", str(SAT_MAX_BATCH),
     ],
 }
-
-#: the E-VEC instance: a batch of E-SPEED-sized instances (distinct
-#: seeded workloads on the standard chip), routed once outside timing —
-#: the timed work is evaluation only, looped vs stacked
-VEC_BATCH = 24
-VEC_SOLVER = "SG"
 
 #: M-SPEED rows: fresh default-budget instances, fixed seed per round
 META_FACTORIES = {
@@ -1000,149 +982,6 @@ def measure_sat(rounds: int, gate: float = 2.0) -> tuple[dict, dict]:
     return medians, extras
 
 
-def build_vec_batch():
-    """The E-VEC batch: ``VEC_BATCH`` solved instances, caches pre-warmed.
-
-    Routing construction (and the per-problem kernel build) happens here,
-    outside timing — the bench isolates the evaluation pass, which is the
-    part the stacked tier replaces.
-    """
-    problems = []
-    for i in range(VEC_BATCH):
-        mesh = Mesh(*MESH_SHAPE)
-        problems.append(
-            RoutingProblem(
-                mesh,
-                PowerModel.kim_horowitz(),
-                uniform_random_workload(
-                    mesh, NUM_COMMS, *RATE_RANGE, rng=WORKLOAD_SEED + i
-                ),
-            )
-        )
-    routings = [
-        get_heuristic(VEC_SOLVER).route_timed(p)[0] for p in problems
-    ]
-    for p in problems:
-        p.kernel()
-    return problems, routings
-
-
-def measure_vec(rounds: int, gate: float = 1.5) -> tuple[dict, dict]:
-    """E-VEC: per-instance (looped) vs multi-problem (stacked) evaluation.
-
-    Each timed pass starts from cold per-routing load caches, so both
-    sides pay the full load-accumulation + grading work every time.  The
-    stacked side rebuilds its :class:`MultiProblemKernel` inside the
-    timed region — that is what the service batch front pays per batch,
-    and the sweep runner amortises it further, so the timing is the
-    conservative one.  Rounds interleave the sides so machine-load drift
-    hits both evenly.  While timing, every stacked result is asserted
-    hex-identical to its looped counterpart, and the ``trial`` row's
-    speedup gates on ``gate`` (0 disables — CI smoke).
-    """
-    from repro.core.evaluate import evaluate_routing
-    from repro.mesh.kernel import MultiProblemKernel
-
-    problems, routings = build_vec_batch()
-
-    def reset():
-        # drop the per-routing load cache so each pass re-accumulates
-        for r in routings:
-            r._loads = None
-
-    def looped_trial():
-        return [evaluate_routing(r) for r in routings]
-
-    def stacked_trial():
-        return MultiProblemKernel(problems).evaluate_routings(routings)
-
-    def looped_request():
-        return [(r.total_power(), r.is_valid()) for r in routings]
-
-    def stacked_request():
-        mpk = MultiProblemKernel(problems)
-        loads = mpk.loads_from_routings(routings)
-        return [
-            (float(p), bool(v))
-            for p, v in zip(mpk.total_powers(loads), mpk.valids(loads))
-        ]
-
-    def report_key(rep):
-        return (
-            rep.valid,
-            rep.active_links,
-            rep.overloaded_links,
-            *(
-                float(getattr(rep, f)).hex()
-                for f in (
-                    "total_power",
-                    "static_power",
-                    "dynamic_power",
-                    "max_load",
-                    "mean_active_load",
-                )
-            ),
-        )
-
-    sides = {
-        "looped": {"trial": looped_trial, "request": looped_request},
-        "stacked": {"trial": stacked_trial, "request": stacked_request},
-    }
-    with _tier("python"):
-        # equivalence gate: the stacked tier must be hex-identical
-        reset()
-        ref_reports = [report_key(r) for r in looped_trial()]
-        reset()
-        got_reports = [report_key(r) for r in stacked_trial()]
-        assert got_reports == ref_reports, "stacked trial reports diverged"
-        reset()
-        ref_req = [(p.hex(), v) for p, v in looped_request()]
-        reset()
-        got_req = [(p.hex(), v) for p, v in stacked_request()]
-        assert got_req == ref_req, "stacked request grading diverged"
-        for _ in range(WARMUP):
-            for fns in sides.values():
-                for fn in fns.values():
-                    reset()
-                    fn()
-        times: dict = {
-            s: {k: [] for k in ("trial", "request")} for s in sides
-        }
-        for _ in range(rounds):
-            for key in ("trial", "request"):
-                for s, fns in sides.items():
-                    reset()
-                    t0 = time.perf_counter()
-                    fns[key]()
-                    times[s][key].append(time.perf_counter() - t0)
-    medians = {
-        k: round(statistics.median(ts) * 1e3, 4)
-        for k, ts in times["stacked"].items()
-    }
-    before = {
-        k: round(statistics.median(ts) * 1e3, 4)
-        for k, ts in times["looped"].items()
-    }
-    speedup = {
-        k: round(before[k] / ms, 2) for k, ms in medians.items() if ms > 0
-    }
-    if gate > 0:
-        assert speedup.get("trial", 0.0) >= gate, (
-            f"stacked trial evaluation is only {speedup.get('trial')}x the "
-            f"looped path ({medians['trial']} vs {before['trial']} ms; "
-            f"gate: {gate}x)"
-        )
-    extras = {
-        "timing_tier": "python",
-        "batch": VEC_BATCH,
-        "before_median_ms": before,
-        "speedup": speedup,
-        "gate": gate,
-        "bit_identical_to_looped": True,
-    }
-    return medians, extras
-
-
 SUITES = {
     "heuristic": ("heuristic-speed", measure_heuristic),
     "meta": ("meta-speed", measure_meta),
@@ -1150,11 +989,10 @@ SUITES = {
     "churn": ("e-churn", measure_churn),
     "soak": ("e-soak", measure_soak),
     "sat": ("e-sat", measure_sat),
-    "vec": ("e-vec", measure_vec),
 }
 
 #: suites that embed their own before side (reject a conflicting --before)
-SELF_BEFORE_SUITES = {"noc", "churn", "sat", "vec"}
+SELF_BEFORE_SUITES = {"noc", "churn", "sat"}
 
 
 def next_bench_number() -> int:
@@ -1185,14 +1023,6 @@ def main(argv: list[str] | None = None) -> int:
         help="E-SAT in-run speedup floor for batched+sharded vs the "
         "unbatched single front (0 disables the gate; default: 2.0)",
     )
-    parser.add_argument(
-        "--vec-gate",
-        type=float,
-        default=1.5,
-        help="E-VEC in-run speedup floor for the stacked trial "
-        "evaluation vs the looped path (0 disables the gate; "
-        "default: 1.5)",
-    )
     args = parser.parse_args(argv)
     n = args.n if args.n is not None else next_bench_number()
     suite_name, measure = SUITES[args.suite]
@@ -1200,10 +1030,6 @@ def main(argv: list[str] | None = None) -> int:
         import functools
 
         measure = functools.partial(measure_sat, gate=args.sat_gate)
-    if args.suite == "vec":
-        import functools
-
-        measure = functools.partial(measure_vec, gate=args.vec_gate)
     if args.before is not None and args.suite in SELF_BEFORE_SUITES:
         print(
             f"--before is not supported for the {args.suite!r} suite: it "
@@ -1252,16 +1078,6 @@ def main(argv: list[str] | None = None) -> int:
             "batch_window_ms": SAT_BATCH_WINDOW_MS,
             "max_batch": SAT_MAX_BATCH,
             "polish": "none",
-        }
-    elif args.suite == "vec":
-        instance = {
-            "mesh": f"{MESH_SHAPE[0]}x{MESH_SHAPE[1]}",
-            "num_comms": NUM_COMMS,
-            "rates": list(RATE_RANGE),
-            "workload_seed0": WORKLOAD_SEED,
-            "power_model": "kim_horowitz",
-            "batch": VEC_BATCH,
-            "solver": VEC_SOLVER,
         }
     elif args.suite == "churn":
         instance = {

@@ -63,13 +63,9 @@ class _VersionAction(argparse.Action):
         super().__init__(option_strings, dest, **kwargs)
 
     def __call__(self, parser, namespace, values, option_string=None):
-        from repro.mesh.kernel import stacked_mode
         from repro.native import active_tier
 
-        print(
-            f"repro {__version__} "
-            f"(tier: {active_tier()}, stacked: {stacked_mode()})"
-        )
+        print(f"repro {__version__} (tier: {active_tier()})")
         parser.exit()
 
 

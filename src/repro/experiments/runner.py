@@ -33,13 +33,6 @@ Parallel execution requires the workload factory (and the mesh/power
 objects) to be picklable; the factories in
 :mod:`repro.experiments.config` are plain dataclasses for exactly this
 reason.  Lambdas/closures still work on the serial path.
-
-Within either engine, a batch of trials runs **stacked** by default
-(``REPRO_STACKED``, see :mod:`repro.mesh.kernel`): deterministic
-``batch_eval`` heuristics route first and their final evaluations are
-graded together through one :class:`~repro.mesh.kernel.
-MultiProblemKernel` pass per chunk, bit-identical to the looped
-trial-at-a-time reference (``REPRO_STACKED=0``).
 """
 
 from __future__ import annotations
@@ -51,12 +44,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.evaluate import evaluate_routing
 from repro.core.problem import RoutingProblem
+from repro.core.routing import Routing
 from repro.experiments.config import SweepConfig, WorkloadFactory
 from repro.heuristics.base import HeuristicResult, get_heuristic
-from repro.heuristics.batch_eval import DeferredEval, evaluate_deferred
 from repro.heuristics.best import best_of_results
-from repro.mesh.kernel import stacked_enabled
 from repro.mesh.topology import Mesh
 from repro.core.power import PowerModel
 from repro.utils.rng import spawn_rngs, spawn_rngs_range
@@ -137,15 +130,6 @@ class TrialRecord:
     best_power_inverse: float
 
 
-#: module-level warm-cache memo, keyed by platform object *identity*.  The
-#: values keep strong references so a remembered id() can never be recycled
-#: by a new object; the identity re-check makes a stale hit impossible even
-#: so.  Bounded FIFO — a long-lived process cycling through many platforms
-#: (the service, multi-config campaigns) cannot grow it without bound.
-_WARM_MEMO: Dict[Tuple[int, int], Tuple[Mesh, PowerModel]] = {}
-_WARM_MEMO_CAP = 64
-
-
 def warm_platform_caches(mesh: Mesh, power: PowerModel) -> None:
     """Force the lazily built per-``(mesh, power)`` tables into existence.
 
@@ -156,22 +140,10 @@ def warm_platform_caches(mesh: Mesh, power: PowerModel) -> None:
     platform) so every trial's ``runtime_s`` measures routing, not cache
     (re)construction.  Trial results are unaffected: the caches are pure
     functions of the platform.
-
-    Memoised at module level per ``(mesh, power)`` identity: the serial
-    engine calls this once per sweep *point* and a worker once per chunk,
-    but the platform objects are shared across a whole sweep, so repeat
-    warms (pure attribute touches) skip even the attribute traffic.
     """
-    key = (id(mesh), id(power))
-    hit = _WARM_MEMO.get(key)
-    if hit is not None and hit[0] is mesh and hit[1] is power:
-        return
     power._graded_tables  # noqa: B018  - cached_property build
     mesh.link_scale
     mesh.dead_mask
-    if len(_WARM_MEMO) >= _WARM_MEMO_CAP:
-        _WARM_MEMO.pop(next(iter(_WARM_MEMO)))
-    _WARM_MEMO[key] = (mesh, power)
 
 
 def run_trial(
@@ -195,11 +167,17 @@ def run_trial(
     (:meth:`~repro.core.problem.RoutingProblem.kernel`,
     :meth:`~repro.core.problem.RoutingProblem.initial_moves`), so the
     trial pays for each once instead of once per consumer.
+
+    Each member routes through
+    :meth:`~repro.heuristics.base.Heuristic.route_timed`, the timed half
+    of ``solve``, and :func:`evaluate_deferred` grades the routings
+    afterwards; grading draws no randomness, so every result equals
+    ``h.solve(problem)``.
     """
     heuristics = [get_heuristic(n) for n in heuristic_names]
     problem = _draw_trial_problem(mesh, power, workload, rng, heuristics)
-    results: List[HeuristicResult] = [h.solve(problem) for h in heuristics]
-    return _trial_record(results)
+    routed = [(h.name, *h.route_timed(problem)) for h in heuristics]
+    return _trial_record(evaluate_deferred(routed))
 
 
 def _draw_trial_problem(
@@ -212,8 +190,7 @@ def _draw_trial_problem(
     """Draw one instance and reseed the roster — ``run_trial``'s prefix.
 
     The RNG consumption order (workload draw, then reseeds in roster
-    order) is the trial's reproducibility contract; both the looped and
-    the stacked engines share it through this helper.
+    order) is the trial's reproducibility contract.
     """
     comms = workload(mesh, rng)
     problem = RoutingProblem(mesh, power, comms)
@@ -228,9 +205,18 @@ def _draw_trial_problem(
     return problem
 
 
+def evaluate_deferred(
+    routed: Sequence[Tuple[str, Routing, float]],
+) -> List[HeuristicResult]:
+    """Grade one trial's ``(name, routing, runtime_s)`` triples, in order."""
+    return [
+        HeuristicResult(name, routing, evaluate_routing(routing), runtime_s)
+        for name, routing, runtime_s in routed
+    ]
+
+
 def _trial_record(results: Sequence[HeuristicResult]) -> TrialRecord:
-    """Fold one trial's evaluated results into its record — the tail of
-    ``run_trial``, shared verbatim by the stacked engine."""
+    """Fold one trial's evaluated results (roster order) into its record."""
     best = best_of_results(results)
     everything = list(results) + [
         HeuristicResult(BEST_KEY, best.routing, best.report, best.runtime_s)
@@ -253,68 +239,6 @@ def _trial_record(results: Sequence[HeuristicResult]) -> TrialRecord:
     )
 
 
-#: one trial's per-heuristic entries, in roster order: a fully evaluated
-#: HeuristicResult (heuristics that must solve inline) or a DeferredEval
-#: awaiting the stacked grading pass
-TrialEntries = List
-
-
-def _route_trial(
-    mesh: Mesh,
-    power: PowerModel,
-    workload: WorkloadFactory,
-    rng: np.random.Generator,
-    heuristic_names: Sequence[str],
-) -> TrialEntries:
-    """The routing phase of :func:`run_trial`, final evaluation deferred.
-
-    Identical RNG consumption and timed regions as ``run_trial``:
-    ``batch_eval`` heuristics (deterministic constructions) route through
-    :meth:`~repro.heuristics.base.Heuristic.route_timed` and park a
-    :class:`~repro.heuristics.batch_eval.DeferredEval`; everything else
-    (GA/SA/TABU and any unmarked heuristic) solves inline, in the same
-    roster position it always held.
-    """
-    heuristics = [get_heuristic(n) for n in heuristic_names]
-    problem = _draw_trial_problem(mesh, power, workload, rng, heuristics)
-    entries: TrialEntries = []
-    for h in heuristics:
-        if h.batch_eval:
-            routing, elapsed = h.route_timed(problem)
-            entries.append(DeferredEval(h.name, routing, elapsed))
-        else:
-            entries.append(h.solve(problem))
-    return entries
-
-
-def _finalize_trials(trial_entries: Sequence[TrialEntries]) -> List[TrialRecord]:
-    """Grade every deferred evaluation of a trial batch in one stacked pass.
-
-    All trials' :class:`DeferredEval` entries — across instances and
-    heuristics — feed a single
-    :func:`~repro.heuristics.batch_eval.evaluate_deferred` call (one
-    :class:`~repro.mesh.kernel.MultiProblemKernel` pass), then each
-    trial's results are reassembled in roster order and folded through the
-    same :func:`_trial_record` tail as the looped engine.  Records are
-    bit-identical to ``run_trial``'s on every field.
-    """
-    deferred = [
-        e
-        for entries in trial_entries
-        for e in entries
-        if isinstance(e, DeferredEval)
-    ]
-    evaluated = iter(evaluate_deferred(deferred))
-    records: List[TrialRecord] = []
-    for entries in trial_entries:
-        results = [
-            next(evaluated) if isinstance(e, DeferredEval) else e
-            for e in entries
-        ]
-        records.append(_trial_record(results))
-    return records
-
-
 def _run_trials(
     mesh: Mesh,
     power: PowerModel,
@@ -322,23 +246,10 @@ def _run_trials(
     rngs: Sequence[np.random.Generator],
     heuristic_names: Sequence[str],
 ) -> List[TrialRecord]:
-    """Run a batch of trials: stacked when enabled, looped reference otherwise.
-
-    The ``REPRO_STACKED=0`` escape hatch keeps the original
-    trial-at-a-time path selectable for A/B parity checks; both paths
-    return bit-identical records (modulo the untimed wall clock nothing
-    reads).
-    """
-    if not stacked_enabled():
-        return [
-            run_trial(mesh, power, workload, rng, heuristic_names)
-            for rng in rngs
-        ]
-    trial_entries = [
-        _route_trial(mesh, power, workload, rng, heuristic_names)
-        for rng in rngs
+    """Run one trial per generator, in order."""
+    return [
+        run_trial(mesh, power, workload, rng, heuristic_names) for rng in rngs
     ]
-    return _finalize_trials(trial_entries)
 
 
 def aggregate_records(

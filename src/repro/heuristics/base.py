@@ -61,23 +61,12 @@ class Heuristic(abc.ABC):
     #: short display name ("XY", "SG", ...); subclasses must override
     name: str = "?"
 
-    #: True when the heuristic's final evaluation may be deferred into a
-    #: stacked :class:`~repro.mesh.kernel.MultiProblemKernel` pass: the
-    #: routing construction consumes no shared randomness after
-    #: :meth:`reseed` and does not read its own final report, so grading
-    #: many instances' results together is observably identical to
-    #: :meth:`solve` (the timed region covers ``_route`` only in both
-    #: cases).  Stochastic searchers keep this False so their trial RNG
-    #: draw order is documented per instance.
-    batch_eval: bool = False
-
     def route_timed(self, problem: RoutingProblem):
         """Route ``problem``; return ``(routing, elapsed_s)`` unevaluated.
 
         The timed region is exactly :meth:`solve`'s — ``_route`` only —
-        so deferring the evaluation (see :mod:`repro.heuristics.
-        batch_eval`) changes neither the measured runtime nor any RNG
-        stream.
+        so grading the routing later changes neither the measured runtime
+        nor any RNG stream.
         """
         if problem.num_comms == 0:
             raise InvalidParameterError(

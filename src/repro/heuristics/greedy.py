@@ -46,8 +46,6 @@ class SimpleGreedy(Heuristic):
         weight (see :mod:`repro.heuristics.ordering`).
     """
 
-    batch_eval = True
-
     def __init__(self, ordering: str = DEFAULT_ORDERING):
         self.ordering = ordering
 

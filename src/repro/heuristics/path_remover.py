@@ -174,8 +174,6 @@ class _CommState:
 class PathRemover(Heuristic):
     """Prune the all-paths spread, most-loaded link first."""
 
-    batch_eval = True
-
     def _route(self, problem: RoutingProblem) -> List[Path]:
         mesh = problem.mesh
         alive = mesh.link_mask

@@ -47,8 +47,6 @@ def _two_bend_candidates(du: int, dv: int) -> Tuple[Tuple[str, ...], np.ndarray]
 class TwoBend(Heuristic):
     """Exhaustive search over ≤2-bend paths, greedily per communication."""
 
-    batch_eval = True
-
     def __init__(self, ordering: str = DEFAULT_ORDERING):
         self.ordering = ordering
 

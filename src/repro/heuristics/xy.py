@@ -19,8 +19,6 @@ from repro.mesh.paths import Path
 class XYRouting(Heuristic):
     """Route every communication horizontally first, then vertically."""
 
-    batch_eval = True
-
     def _route(self, problem: RoutingProblem) -> List[Path]:
         mesh = problem.mesh
         return [Path.xy(mesh, c.src, c.snk) for c in problem.comms]
@@ -29,8 +27,6 @@ class XYRouting(Heuristic):
 @register_heuristic("YX")
 class YXRouting(Heuristic):
     """Route every communication vertically first, then horizontally."""
-
-    batch_eval = True
 
     def _route(self, problem: RoutingProblem) -> List[Path]:
         mesh = problem.mesh

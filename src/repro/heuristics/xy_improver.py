@@ -69,8 +69,6 @@ class XYImprover(Heuristic):
         where it starts, which the improver-start ablation exploits.
     """
 
-    batch_eval = True
-
     def __init__(self, max_steps: Optional[int] = None, start: str = "XY"):
         if max_steps is not None and max_steps < 1:
             raise InvalidParameterError(f"max_steps must be >= 1, got {max_steps}")

@@ -10,7 +10,6 @@ constructors (loading runs the same checks as building by hand).
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
@@ -23,32 +22,9 @@ from repro.utils.validation import InvalidParameterError
 
 PathLike = Union[str, pathlib.Path]
 
-#: default ceiling on memoized parses per :class:`ParseCache`
+#: default ceiling on memoized parses per :class:`ParseCache` — sized for
+#: the service front, where one cache lives for the whole process
 _PARSE_CACHE_DEFAULT = 256
-
-
-def parse_cache_size() -> int:
-    """Entry limit for new :class:`ParseCache` instances.
-
-    ``REPRO_PARSE_CACHE`` overrides the default of
-    ``_PARSE_CACHE_DEFAULT`` entries (must be an integer >= 1) — sized
-    for the service front, where the cache now lives for the process
-    rather than one batch.
-    """
-    raw = os.environ.get("REPRO_PARSE_CACHE", "")
-    if not raw:
-        return _PARSE_CACHE_DEFAULT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParameterError(
-            f"REPRO_PARSE_CACHE must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise InvalidParameterError(
-            f"REPRO_PARSE_CACHE must be >= 1, got {value}"
-        )
-    return value
 
 
 class ParseCache:
@@ -63,12 +39,11 @@ class ParseCache:
     arrays, graded power tables, routing kernels) once instead of once
     per request.
 
-    The memo is bounded: at most ``maxsize`` entries
-    (:func:`parse_cache_size` by default, i.e. the ``REPRO_PARSE_CACHE``
-    env override), least-recently-*used* evicted first, with the
-    eviction count kept on :attr:`evictions`.  A process-lifetime cache
-    under adversarial traffic (every request a distinct mesh) therefore
-    stays O(maxsize) instead of growing without bound.
+    The memo is bounded: at most ``maxsize`` entries (256 by default),
+    least-recently-*used* evicted first, with the eviction count kept on
+    :attr:`evictions`.  A process-lifetime cache under adversarial
+    traffic (every request a distinct mesh) therefore stays O(maxsize)
+    instead of growing without bound.
 
     Sharing is sound because parsing is a pure function of the
     document and every consumer treats the parsed objects as
@@ -79,9 +54,7 @@ class ParseCache:
 
     __slots__ = ("_memo", "maxsize", "hits", "misses", "evictions")
 
-    def __init__(self, maxsize: Optional[int] = None) -> None:
-        if maxsize is None:
-            maxsize = parse_cache_size()
+    def __init__(self, maxsize: int = _PARSE_CACHE_DEFAULT) -> None:
         if maxsize < 1:
             raise InvalidParameterError(
                 f"ParseCache maxsize must be >= 1, got {maxsize}"

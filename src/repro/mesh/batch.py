@@ -497,14 +497,15 @@ class LoadLedger:
         deltas = {o1: -r, o2: -r, n1: r, n2: r}
         return deltas, self._graded_delta(deltas)
 
-    def _flip_rows(
-        self, cands: Sequence[Tuple[int, int]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(C, 4)`` old/new link ids and ``(C,)`` rates of legal flips.
+    def flip_dcost_batch(self, cands: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Graded-cost change of every candidate flip, one NumPy pass.
 
-        Row ``k`` of the id matrix is ``(old_j, old_j1, new_j, new_j1)``
-        for candidate ``cands[k]`` — the O(1) corner geometry of
-        :meth:`_flip_new_links` unrolled over the candidate set.
+        ``cands`` is a sequence of legal ``(ci, j)`` corners (a TABU
+        neighbourhood, a lockstep chain front).  Equivalent to calling
+        :meth:`flip_dcost` per candidate — each row's old/new powers are
+        graded elementwise and summed over the same 4-element segments in
+        the same order — but with one ``link_power_graded`` call for the
+        whole candidate set instead of ``len(cands)`` Python evaluations.
         """
         links = self.links
         moves = self.moves
@@ -539,21 +540,8 @@ class LoadLedger:
             rows_append((lks[j], lks[j + 1], n1, n2))
             rrow_append(rates[ci])
         lids = np.array(rows, dtype=np.int64).reshape(len(cands), 4)
-        return lids, np.array(rrow, dtype=np.float64)
-
-    def flip_dcost_batch(self, cands: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Graded-cost change of every candidate flip, one NumPy pass.
-
-        ``cands`` is a sequence of legal ``(ci, j)`` corners (a TABU
-        neighbourhood, a lockstep chain front).  Equivalent to calling
-        :meth:`flip_dcost` per candidate — each row's old/new powers are
-        graded elementwise and summed over the same 4-element segments in
-        the same order — but with one ``link_power_graded`` call for the
-        whole candidate set instead of ``len(cands)`` Python evaluations.
-        """
-        lids, rrow = self._flip_rows(cands)
         dls = np.multiply.outer(
-            rrow,
+            np.array(rrow, dtype=np.float64),
             np.array([-1.0, -1.0, 1.0, 1.0]),
         )
         old = self.loads[lids]
@@ -899,207 +887,4 @@ class LoadLedger:
         return (
             f"{type(self).__name__}({len(self.moves)} comms, "
             f"cost={self.cost:.6g})"
-        )
-
-
-class MultiLedger:
-    """Batched corner-flip grading across a batch of :class:`LoadLedger`.
-
-    Wraps B ledgers (one per problem instance, independent meshes / power
-    models / routing states) and grades a *cross-instance* candidate set —
-    ``(b, ci, j)`` triples naming corner ``j`` of communication ``ci`` on
-    instance ``b`` — with the per-call overhead amortised over the whole
-    batch instead of per instance:
-
-    * **python tier** — every instance's ``(C_b, 8)`` old/new graded-power
-      rows are concatenated and graded through **one**
-      ``link_power_graded`` call per distinct power model (one call total
-      for a homogeneous batch), exactly the :meth:`LoadLedger.
-      flip_dcost_batch` row recipe;
-    * **native tier** (all models scalar-graded and the compiled extension
-      present) — zero-copy :class:`~repro.native.ledger.NativeLedger`
-      mirrors are built once and a single ``repro_flip_dcost_many`` C call
-      loops the proven ``repro_flip_dcost`` kernel over them.
-
-    Either way candidate ``k``'s graded delta is bit-identical to
-    ``ledgers[b].flip_dcost(ci, j)`` evaluated on that instance alone.
-    Commits must go through :meth:`commit_flip` so the Python ledgers and
-    the native mirrors stay in lockstep; mutating a wrapped ledger behind
-    the MultiLedger's back desynchronises the mirrors.
-    """
-
-    __slots__ = (
-        "ledgers",
-        "num_ledgers",
-        "tier",
-        "_power_groups",
-        "_mirrors",
-        "_lib",
-        "_ffi",
-        "_c_arr",
-    )
-
-    def __init__(self, ledgers: Sequence[LoadLedger]):
-        if not ledgers:
-            raise InvalidParameterError(
-                "MultiLedger needs at least one ledger"
-            )
-        self.ledgers = list(ledgers)
-        self.num_ledgers = len(self.ledgers)
-        groups: Dict = {}
-        for b, led in enumerate(self.ledgers):
-            groups.setdefault(led.power, []).append(b)
-        self._power_groups = [
-            (power, tuple(idxs)) for power, idxs in groups.items()
-        ]
-        self._mirrors = None
-        self._lib = self._ffi = self._c_arr = None
-        module = None
-        if all(led._scalar for led in self.ledgers):
-            from repro.native import native_kernels
-
-            module = native_kernels()
-        if module is not None and hasattr(
-            module.lib, "repro_flip_dcost_many"
-        ):
-            from repro.native.ledger import NativeLedger
-
-            self._mirrors = [NativeLedger(led) for led in self.ledgers]
-            self._ffi = module.ffi
-            self._lib = module.lib
-            self._c_arr = self._ffi.new(
-                "rledger *[]", [m._c for m in self._mirrors]
-            )
-            self.tier = "native"
-        else:
-            self.tier = "python"
-
-    # ------------------------------------------------------------------
-    def flip_dcost_many(
-        self, cands: Sequence[Tuple[int, int, int]]
-    ) -> np.ndarray:
-        """Graded-cost change of every ``(b, ci, j)`` candidate, one pass.
-
-        The caller warrants each ``(ci, j)`` is a legal corner of instance
-        ``b`` (taken from that ledger's :meth:`LoadLedger.flip_pos`).
-        """
-        n = len(cands)
-        out = np.empty(n, dtype=np.float64)
-        if n == 0:
-            return out
-        if self.tier == "native":
-            li = np.ascontiguousarray(
-                [b for b, _, _ in cands], dtype=np.int64
-            )
-            ci = np.ascontiguousarray(
-                [c for _, c, _ in cands], dtype=np.int64
-            )
-            cj = np.ascontiguousarray(
-                [j for _, _, j in cands], dtype=np.int64
-            )
-            ffi = self._ffi
-            bad = self._lib.repro_flip_dcost_many(
-                self._c_arr,
-                ffi.cast("const int64_t *", li.ctypes.data),
-                ffi.cast("const int64_t *", ci.ctypes.data),
-                ffi.cast("const int64_t *", cj.ctypes.data),
-                n,
-                ffi.cast("double *", out.ctypes.data),
-            )
-            if bad >= 0:
-                self._mirrors[int(li[bad])].raise_err()
-            return out
-        per: List[List[Tuple[int, int, int]]] = [
-            [] for _ in range(self.num_ledgers)
-        ]
-        for k, (b, ci, j) in enumerate(cands):
-            per[b].append((k, ci, j))
-        sign = np.array([-1.0, -1.0, 1.0, 1.0])
-        for power, idxs in self._power_groups:
-            both_parts: List[np.ndarray] = []
-            sc_parts: List[np.ndarray] = []
-            dd_parts: List[np.ndarray] = []
-            out_idx: List[int] = []
-            need_scale = any(
-                self.ledgers[b].scale is not None for b in idxs
-            )
-            need_dead = any(self.ledgers[b].dead is not None for b in idxs)
-            for b in idxs:
-                entries = per[b]
-                if not entries:
-                    continue
-                led = self.ledgers[b]
-                lids, rrow = led._flip_rows(
-                    [(ci, j) for _, ci, j in entries]
-                )
-                dls = np.multiply.outer(rrow, sign)
-                old = led.loads[lids]
-                new = old + dls
-                if new.min() < -1e-9:
-                    raise InvalidParameterError(
-                        "load delta would drive a link negative"
-                    )
-                new = np.maximum(new, 0.0)
-                both_parts.append(np.concatenate([old, new], axis=1))
-                if need_scale:
-                    s = (
-                        led.scale[lids]
-                        if led.scale is not None
-                        else np.ones(lids.shape, dtype=np.float64)
-                    )
-                    sc_parts.append(np.concatenate([s, s], axis=1))
-                if need_dead:
-                    d = (
-                        led.dead[lids]
-                        if led.dead is not None
-                        else np.zeros(lids.shape, dtype=bool)
-                    )
-                    dd_parts.append(np.concatenate([d, d], axis=1))
-                out_idx.extend(k for k, _, _ in entries)
-            if not both_parts:
-                continue
-            both = (
-                both_parts[0]
-                if len(both_parts) == 1
-                else np.concatenate(both_parts)
-            )
-            sc = (
-                (
-                    sc_parts[0]
-                    if len(sc_parts) == 1
-                    else np.concatenate(sc_parts)
-                )
-                if need_scale
-                else None
-            )
-            dd = (
-                (
-                    dd_parts[0]
-                    if len(dd_parts) == 1
-                    else np.concatenate(dd_parts)
-                )
-                if need_dead
-                else None
-            )
-            graded = power.link_power_graded(both, scale=sc, dead=dd)
-            out[out_idx] = graded[:, 4:].sum(axis=1) - graded[:, :4].sum(
-                axis=1
-            )
-        return out
-
-    def commit_flip(self, b: int, ci: int, j: int, dcost: float) -> None:
-        """Commit flip ``(ci, j)`` on instance ``b`` (both tiers updated)."""
-        self.ledgers[b].commit_flip(ci, j, dcost)
-        if self._mirrors is not None:
-            self._mirrors[b].commit_flip(ci, j, dcost)
-
-    def costs(self) -> np.ndarray:
-        """Current graded cost per instance (Python-ledger view)."""
-        return np.array(
-            [led.cost for led in self.ledgers], dtype=np.float64
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MultiLedger({self.num_ledgers} ledgers, tier={self.tier})"
         )

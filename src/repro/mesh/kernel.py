@@ -26,8 +26,6 @@ validated once up front or come from trusted generators).
 
 from __future__ import annotations
 
-import os
-
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -439,570 +437,4 @@ class FlatRoutingKernel:
         return (
             f"FlatRoutingKernel({self.num_comms} comms, "
             f"{self.total_hops} hops)"
-        )
-
-
-# ----------------------------------------------------------------------
-# multi-problem (stacked) evaluation tier
-# ----------------------------------------------------------------------
-
-_STACKED_MODES = ("auto", "0", "1")
-
-
-def stacked_mode() -> str:
-    """The validated ``REPRO_STACKED`` mode: ``"auto"``, ``"0"`` or ``"1"``.
-
-    ``auto`` (default, also the empty string) and ``1`` enable the stacked
-    multi-problem evaluation paths; ``0`` forces the per-instance looped
-    reference paths everywhere.  The variable is re-read on every decision
-    so tests (and the benches) can pin either side per call.
-    """
-    raw = os.environ.get("REPRO_STACKED", "")
-    value = raw.strip().lower()
-    if not value:
-        return "auto"
-    if value not in _STACKED_MODES:
-        raise InvalidParameterError(
-            f"REPRO_STACKED must be one of {', '.join(_STACKED_MODES)}; "
-            f"got {raw!r}"
-        )
-    return value
-
-
-def stacked_enabled() -> bool:
-    """True unless ``REPRO_STACKED=0`` pins the looped reference paths."""
-    return stacked_mode() != "0"
-
-
-def _row_sums(flat: np.ndarray, bounds) -> np.ndarray:
-    """Per-row ``np.sum`` of a flat array tiled by ``bounds``.
-
-    ``bounds`` are ``(start, end)`` pairs covering ``flat`` contiguously in
-    order.  Equal-width rows reduce through one C-contiguous
-    ``(B, width).sum(axis=1)`` pass; NumPy's pairwise summation over the
-    last axis of a contiguous matrix visits each row exactly like a 1-D sum
-    of that row, so both branches are bit-identical to summing each
-    instance's standalone vector.
-    """
-    n = len(bounds)
-    width = bounds[0][1] - bounds[0][0]
-    if all(e - s == width for s, e in bounds):
-        return flat.reshape(n, width).sum(axis=1)
-    return np.array([np.sum(flat[s:e]) for s, e in bounds])
-
-
-class MultiProblemKernel:
-    """Stacked evaluation of a batch of problem instances.
-
-    Stacks B instances — possibly with different mesh shapes, fault masks,
-    power-scale profiles and power models — into flat batch arrays: hop
-    metadata is the concatenation of the per-instance
-    :class:`FlatRoutingKernel` arrays with the link-id bases shifted into a
-    disjoint per-instance block of the batch link-id space, and load/power
-    evaluation runs one NumPy pass over the whole batch instead of a
-    Python-level loop over instances.
-
-    Mixed shapes are handled by *exact concatenation*, never zero-padding:
-    every per-instance quantity lives in its own contiguous slice of the
-    flat arrays, so per-instance reductions (``np.sum`` over a contiguous
-    slice, boolean gathers, ``max``) reproduce the standalone per-instance
-    results bit for bit — padding would change NumPy's pairwise-summation
-    tree and is therefore never used.  Instances with different
-    :class:`~repro.core.power.PowerModel` parameters are grouped by model
-    equality and graded one pass per distinct model (one pass total in the
-    common homogeneous case).
-
-    The per-link ``scale`` / ``dead`` profiles of pristine instances are
-    substituted with ones / ``False`` inside a heterogeneous batch; both
-    substitutions are bit-exact (``x * 1.0`` is the identity on the finite
-    powers produced here, and a ``False`` dead mask leaves every
-    ``np.where`` untouched).
-    """
-
-    __slots__ = (
-        "problems",
-        "num_problems",
-        "kernels",
-        "link_counts",
-        "link_offsets",
-        "total_links",
-        "hop_counts",
-        "hop_offsets",
-        "total_hops",
-        "starts",
-        "lengths",
-        "_src_u",
-        "_src_v",
-        "_su",
-        "_sv",
-        "_south_base",
-        "_west_base",
-        "_q_hop",
-        "_hop_rates",
-        "_scales",
-        "_deads",
-        "_scale_flat",
-        "_dead_flat",
-        "_power_groups",
-    )
-
-    def __init__(self, problems: Sequence) -> None:
-        if not problems:
-            raise InvalidParameterError(
-                "MultiProblemKernel needs at least one problem"
-            )
-        self.problems = list(problems)
-        self.num_problems = len(self.problems)
-        self.kernels = [p.kernel() for p in self.problems]
-        self.link_counts = np.asarray(
-            [p.mesh.num_links for p in self.problems], dtype=np.int64
-        )
-        self.link_offsets = np.concatenate(
-            ([0], np.cumsum(self.link_counts))
-        )
-        self.total_links = int(self.link_offsets[-1])
-        self._scales = [p.mesh.link_scale for p in self.problems]
-        self._deads = [p.mesh.dead_mask for p in self.problems]
-        if all(s is None for s in self._scales):
-            self._scale_flat = None
-        else:
-            self._scale_flat = np.concatenate(
-                [
-                    s
-                    if s is not None
-                    else np.ones(int(nl), dtype=np.float64)
-                    for s, nl in zip(self._scales, self.link_counts)
-                ]
-            )
-        if all(d is None for d in self._deads):
-            self._dead_flat = None
-        else:
-            self._dead_flat = np.concatenate(
-                [
-                    d if d is not None else np.zeros(int(nl), dtype=bool)
-                    for d, nl in zip(self._deads, self.link_counts)
-                ]
-            )
-        groups: dict = {}
-        for b, p in enumerate(self.problems):
-            groups.setdefault(p.power, []).append(b)
-        self._power_groups = [
-            (power, tuple(idxs)) for power, idxs in groups.items()
-        ]
-        for arr in (self.link_counts, self.link_offsets):
-            arr.setflags(write=False)
-
-    #: hop-metadata attributes stacked lazily by :meth:`_build_hops` —
-    #: only the move-string paths (:meth:`stack_vmasks` / :meth:`links`)
-    #: need them; the routing-based evaluation paths never pay for them
-    _HOP_ATTRS = frozenset(
-        (
-            "hop_counts",
-            "hop_offsets",
-            "total_hops",
-            "starts",
-            "lengths",
-            "_src_u",
-            "_src_v",
-            "_su",
-            "_sv",
-            "_south_base",
-            "_west_base",
-            "_q_hop",
-            "_hop_rates",
-        )
-    )
-
-    def __getattr__(self, name: str):
-        # unset slots raise AttributeError, landing here exactly once:
-        # first touch of any hop attribute stacks them all
-        if name in MultiProblemKernel._HOP_ATTRS:
-            self._build_hops()
-            return getattr(self, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def _build_hops(self) -> None:
-        """Stack the per-hop kernel metadata (deferred until needed)."""
-        kernels = self.kernels
-        loffs = self.link_offsets
-        self.hop_counts = np.asarray(
-            [k.total_hops for k in kernels], dtype=np.int64
-        )
-        self.hop_offsets = np.concatenate(([0], np.cumsum(self.hop_counts)))
-        self.total_hops = int(self.hop_offsets[-1])
-        hoffs = self.hop_offsets
-        self.starts = np.concatenate(
-            [k.starts + hoffs[b] for b, k in enumerate(kernels)]
-        )
-        self.lengths = np.concatenate([k.lengths for k in kernels])
-        self._src_u = np.concatenate([k._src_u for k in kernels])
-        self._src_v = np.concatenate([k._src_v for k in kernels])
-        self._su = np.concatenate([k._su for k in kernels])
-        self._sv = np.concatenate([k._sv for k in kernels])
-        # link-id bases shifted into each instance's block of batch ids
-        self._south_base = np.concatenate(
-            [k._south_base + loffs[b] for b, k in enumerate(kernels)]
-        )
-        self._west_base = np.concatenate(
-            [k._west_base + loffs[b] for b, k in enumerate(kernels)]
-        )
-        self._q_hop = np.concatenate(
-            [
-                np.full(k.total_hops, k.mesh.q, dtype=np.int64)
-                for k in kernels
-            ]
-        )
-        self._hop_rates = np.concatenate([k._hop_rates for k in kernels])
-        for arr in (
-            self.hop_counts,
-            self.hop_offsets,
-            self.starts,
-            self.lengths,
-            self._src_u,
-            self._src_v,
-            self._su,
-            self._sv,
-            self._south_base,
-            self._west_base,
-            self._q_hop,
-            self._hop_rates,
-        ):
-            arr.setflags(write=False)
-
-    # ------------------------------------------------------------------
-    def stack_vmasks(self, moves_lists: Sequence[Sequence[str]]) -> np.ndarray:
-        """One routing (move strings) per instance → flat batch hop array.
-
-        Each instance's strings are validated by its own kernel's
-        :meth:`FlatRoutingKernel.routing_vmask` before concatenation.
-        """
-        if len(moves_lists) != self.num_problems:
-            raise InvalidParameterError(
-                f"expected {self.num_problems} routings, "
-                f"got {len(moves_lists)}"
-            )
-        return np.concatenate(
-            [
-                k.routing_vmask(list(m))
-                for k, m in zip(self.kernels, moves_lists)
-            ]
-        )
-
-    def links(self, vmask: np.ndarray) -> np.ndarray:
-        """Batch link id of every hop (segmented-cumsum kernel).
-
-        Same arithmetic as :meth:`FlatRoutingKernel.links`, with per-hop
-        mesh widths and the bases pre-shifted per instance, so the ids land
-        directly in the batch link-id space.
-        """
-        vm = vmask.astype(np.int64)
-        cum_v = np.cumsum(vm, axis=-1)
-        hm = 1 - vm
-        cum_h = np.cumsum(hm, axis=-1)
-        starts = self.starts
-        base_v = np.take(cum_v, starts, axis=-1) - np.take(vm, starts, axis=-1)
-        base_h = np.take(cum_h, starts, axis=-1) - np.take(hm, starts, axis=-1)
-        lengths = self.lengths
-        x = cum_v - vm - np.repeat(base_v, lengths, axis=-1)
-        y = cum_h - hm - np.repeat(base_h, lengths, axis=-1)
-        u = self._src_u + self._su * x
-        v = self._src_v + self._sv * y
-        q = self._q_hop
-        vlid = self._south_base + u * q + v
-        hlid = self._west_base + u * (q - 1) + v
-        return np.where(vmask, vlid, hlid)
-
-    def loads(self, vmask: np.ndarray) -> np.ndarray:
-        """Concatenated link-load vectors of the whole batch (one bincount).
-
-        Bit-identical per instance slice to the per-instance
-        :meth:`FlatRoutingKernel.loads`: batch link ids are disjoint per
-        instance and ``np.bincount`` accumulates each bin in hop order,
-        which concatenation preserves.
-        """
-        links = self.links(vmask)
-        return np.bincount(
-            links, weights=self._hop_rates, minlength=self.total_links
-        ).astype(np.float64)
-
-    def loads_from_routings(self, routings: Sequence) -> np.ndarray:
-        """Flat batch load vector of one :class:`Routing` per instance.
-
-        Replicates :meth:`repro.core.routing.Routing.link_loads` for every
-        instance in a single ``np.bincount`` over offset link ids, and
-        populates each routing's load cache with its (read-only) slice of
-        the result.
-        """
-        if len(routings) != self.num_problems:
-            raise InvalidParameterError(
-                f"expected {self.num_problems} routings, got {len(routings)}"
-            )
-        loffs = self.link_offsets
-        lid_parts: List[np.ndarray] = []
-        flow_rates: List[float] = []
-        flow_lens: List[int] = []
-        inst_hops = np.zeros(self.num_problems, dtype=np.int64)
-        for b, routing in enumerate(routings):
-            if routing.problem is not self.problems[b]:
-                raise InvalidParameterError(
-                    f"routing {b} belongs to a different problem instance"
-                )
-            total = 0
-            for fl in routing.flows:
-                for f in fl:
-                    lids = f.path.link_ids
-                    lid_parts.append(lids)
-                    flow_rates.append(f.rate)
-                    total += lids.size
-                    flow_lens.append(lids.size)
-            inst_hops[b] = total
-        weights = np.repeat(
-            np.asarray(flow_rates, dtype=np.float64),
-            np.asarray(flow_lens, dtype=np.int64),
-        )
-        # one offset add for the whole batch instead of one per flow;
-        # integer addition, so the bincount sees the exact same ids
-        ids = np.concatenate(lid_parts)
-        if self.num_problems > 1:
-            ids = ids + np.repeat(loffs[:-1], inst_hops)
-        flat = np.bincount(
-            ids,
-            weights=weights,
-            minlength=self.total_links,
-        ).astype(np.float64)
-        flat.setflags(write=False)
-        for b, routing in enumerate(routings):
-            if routing._loads is None:
-                routing._loads = flat[loffs[b] : loffs[b + 1]]
-        return flat
-
-    # ------------------------------------------------------------------
-    def _group_views(self, loads_flat: np.ndarray):
-        """Per power-model group: contiguous load/profile segments + bounds.
-
-        Yields ``(power, idxs, seg, scale_seg, dead_seg, bounds)`` where
-        ``bounds[i]`` is instance ``idxs[i]``'s ``(start, end)`` slice
-        inside ``seg``.  The homogeneous single-group case reuses the flat
-        arrays without copying.
-        """
-        loffs = self.link_offsets
-        single = len(self._power_groups) == 1
-        for power, idxs in self._power_groups:
-            if single:
-                seg = loads_flat
-                sc = self._scale_flat
-                dd = self._dead_flat
-                bounds = [
-                    (int(loffs[b]), int(loffs[b + 1])) for b in idxs
-                ]
-            else:
-                parts = [loads_flat[loffs[b] : loffs[b + 1]] for b in idxs]
-                seg = np.concatenate(parts)
-                sc = (
-                    None
-                    if self._scale_flat is None
-                    else np.concatenate(
-                        [
-                            self._scale_flat[loffs[b] : loffs[b + 1]]
-                            for b in idxs
-                        ]
-                    )
-                )
-                dd = (
-                    None
-                    if self._dead_flat is None
-                    else np.concatenate(
-                        [
-                            self._dead_flat[loffs[b] : loffs[b + 1]]
-                            for b in idxs
-                        ]
-                    )
-                )
-                bounds = []
-                pos = 0
-                for b in idxs:
-                    nl = int(self.link_counts[b])
-                    bounds.append((pos, pos + nl))
-                    pos += nl
-            yield power, idxs, seg, sc, dd, bounds
-
-    def graded_totals(self, loads_flat: np.ndarray) -> np.ndarray:
-        """Per-instance graded total power, one pass per power group.
-
-        ``out[b]`` is bit-identical to
-        ``power_b.total_power_graded(loads_b, scale=..., dead=...)``.
-        """
-        out = np.empty(self.num_problems, dtype=np.float64)
-        for power, idxs, seg, sc, dd, bounds in self._group_views(loads_flat):
-            lp = power.link_power_graded(seg, scale=sc, dead=dd)
-            out[list(idxs)] = _row_sums(lp, bounds)
-        return out
-
-    def total_powers(self, loads_flat: np.ndarray) -> np.ndarray:
-        """Per-instance strict total power (``inf`` on overload), batched.
-
-        ``out[b]`` is bit-identical to ``Routing.total_power()`` of the
-        instance's routing.
-        """
-        out = np.empty(self.num_problems, dtype=np.float64)
-        for power, idxs, seg, sc, dd, bounds in self._group_views(loads_flat):
-            lp = power.link_power(seg, scale=sc, dead=dd)
-            out[list(idxs)] = _row_sums(lp, bounds)
-        return out
-
-    def valids(self, loads_flat: np.ndarray) -> List[bool]:
-        """Per-instance paper validity, batched comparisons.
-
-        ``out[b]`` matches ``power_b.is_feasible_load(loads_b, dead=...)``.
-        """
-        out: List[bool] = [False] * self.num_problems
-        for power, idxs, seg, sc, dd, bounds in self._group_views(loads_flat):
-            ok = seg <= power.bandwidth * (1 + 1e-9)
-            dl = None if dd is None else dd & (seg > 0)
-            # all()/any() are associative, so the batched reduceat rows
-            # are exactly the per-instance reductions
-            starts = np.fromiter(
-                (s for s, _ in bounds), dtype=np.int64, count=len(bounds)
-            )
-            ok_rows = np.bitwise_and.reduceat(ok, starts)
-            bad_rows = (
-                None if dl is None else np.bitwise_or.reduceat(dl, starts)
-            )
-            for i, b in enumerate(idxs):
-                bad_dead = False if bad_rows is None else bool(bad_rows[i])
-                out[b] = (not bad_dead) and bool(ok_rows[i])
-        return out
-
-    def reports(self, loads_flat: np.ndarray) -> List:
-        """Per-instance :class:`~repro.core.evaluate.RoutingReport`, batched.
-
-        Replicates :func:`repro.core.evaluate.loads_report` field by field:
-        the elementwise passes (strict link power, quantisation, dynamic
-        term, scaled leakage) run once per power group over the whole
-        batch; the per-instance reductions are contiguous-slice sums /
-        counts / gathers, each bit-identical to the standalone computation.
-        The leakage term keeps :func:`loads_report`'s branch: a count
-        times ``p_leak`` for unscaled instances (an ``int * float``
-        product, *not* a sum), a where/sum only for scaled ones.
-        """
-        from repro.core.evaluate import RoutingReport
-
-        out = [None] * self.num_problems
-        for power, idxs, seg, sc, dd, bounds in self._group_views(loads_flat):
-            bw = power.bandwidth
-            act = seg > 0
-            ok = seg <= bw * (1 + 1e-9)
-            over = seg > bw * (1 + 1e-9)
-            dl = None if dd is None else dd & act
-            capped = np.minimum(seg, bw)
-            # dynamic_power(capped, scale=...) elementwise replica
-            qf = power.quantize(capped)
-            qact = qf > 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                dyn0 = power.p0 * np.power(
-                    qf / power.freq_unit, power.alpha
-                )
-            dyn = dyn0 if sc is None else dyn0 * sc
-            dyn_term = np.where(qact, dyn, 0.0)
-            # static_power(loads, scale=...) elementwise replica (only
-            # consumed for instances whose own scale profile is not None)
-            st_term = (
-                None
-                if sc is None
-                else np.where(act, power.p_leak * sc, 0.0)
-            )
-            # strict total power: link_power(seg) rebuilt from the capped
-            # pass above instead of a second full quantize/np.power —
-            # capped == seg wherever seg <= bandwidth, so only the
-            # over-capacity links (usually none) are re-quantised and
-            # re-powered, elementwise on the same inputs the replaced
-            # full pass would see
-            over_cap = seg > bw
-            if over_cap.any():
-                oidx = np.nonzero(over_cap)[0]
-                dyn_strict = dyn0.copy()
-                with np.errstate(over="ignore", invalid="ignore"):
-                    dyn_strict[oidx] = power.p0 * np.power(
-                        power.quantize(seg[oidx]) / power.freq_unit,
-                        power.alpha,
-                    )
-            else:
-                dyn_strict = dyn0
-            lp = np.where(act, power.p_leak + dyn_strict, 0.0)
-            if sc is not None:
-                lp = lp * sc
-            if dd is not None:
-                lp = np.where(dd & act, np.inf, lp)
-            dyn_sums = _row_sums(dyn_term, bounds)
-            lp_sums = _row_sums(lp, bounds)
-            st_sums = None if st_term is None else _row_sums(st_term, bounds)
-            # counts, all/any and max are associative reductions — the
-            # batched reduceat rows match the per-instance calls bit for
-            # bit (loads are non-negative, so the max never needs the
-            # 0.0 ``initial`` the per-row call supplies)
-            starts = np.fromiter(
-                (s for s, _ in bounds), dtype=np.int64, count=len(bounds)
-            )
-            act_rows = np.add.reduceat(act.astype(np.intp), starts)
-            over_rows = np.add.reduceat(over.astype(np.intp), starts)
-            ok_rows = np.bitwise_and.reduceat(ok, starts)
-            max_rows = np.maximum.reduceat(seg, starts)
-            if dl is None:
-                bad_rows = dead_over_rows = None
-            else:
-                bad_rows = np.bitwise_or.reduceat(dl, starts)
-                dead_over_rows = np.add.reduceat(
-                    (dl & ok).astype(np.intp), starts
-                )
-            # the active-load mean keeps its pairwise sum: one gather of
-            # every active load in the batch (slice order preserved),
-            # then per-row contiguous-slice sums over it
-            comp = seg[act]
-            comp_ends = np.cumsum(act_rows)
-            for i, (b, (s, e)) in enumerate(zip(idxs, bounds)):
-                n_active = int(act_rows[i])
-                overload = int(over_rows[i])
-                bad_dead = False
-                if self._deads[b] is not None:
-                    bad_dead = bool(bad_rows[i])
-                    overload += int(dead_over_rows[i])
-                valid = (not bad_dead) and bool(ok_rows[i])
-                if self._scales[b] is None:
-                    static = float(n_active * power.p_leak)
-                else:
-                    static = float(st_sums[i])
-                total = float(lp_sums[i]) if valid else float("inf")
-                if n_active:
-                    cs = int(comp_ends[i]) - n_active
-                    mean_active = float(
-                        np.sum(comp[cs : cs + n_active]) / n_active
-                    )
-                else:
-                    mean_active = 0.0
-                out[b] = RoutingReport(
-                    valid=valid,
-                    total_power=total,
-                    static_power=static,
-                    dynamic_power=float(dyn_sums[i]),
-                    active_links=n_active,
-                    max_load=float(max_rows[i]),
-                    mean_active_load=mean_active,
-                    overloaded_links=overload,
-                )
-        return out
-
-    def evaluate_routings(self, routings: Sequence) -> List:
-        """One :class:`RoutingReport` per routing, in one stacked pass.
-
-        ``out[b]`` is bit-identical to
-        ``evaluate_routing(routings[b])``.
-        """
-        return self.reports(self.loads_from_routings(routings))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MultiProblemKernel({self.num_problems} problems, "
-            f"{self.total_hops} hops, {self.total_links} links)"
         )

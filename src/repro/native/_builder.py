@@ -148,9 +148,6 @@ int64_t repro_stream_integers(rstream *s, int64_t n);
 int64_t repro_stream_interval(rstream *s, uint64_t mx);
 
 double repro_flip_dcost(rledger *L, int64_t ci, int64_t j);
-int64_t repro_flip_dcost_many(rledger **ls, const int64_t *li,
-                              const int64_t *ci, const int64_t *cj,
-                              int64_t n, double *out);
 void repro_commit_flip(rledger *L, int64_t ci, int64_t j, double dcost);
 double repro_resample_eval(rledger *L, int64_t ci, const uint8_t *mv,
                            int64_t plen, int32_t commit);
@@ -417,25 +414,6 @@ double repro_flip_dcost(rledger *L, int64_t ci, int64_t j) {
     p4 = lp_scalar(L, w4, n2);
     return (p1 + p2 + p3 + p4) -
            (L->plist[o1] + L->plist[o2] + L->plist[n1] + L->plist[n2]);
-}
-
-/* batched flip grading across a batch of ledgers: candidate k lives on
- * ledger ls[li[k]].  One C call amortises the per-candidate FFI overhead
- * over the whole cross-instance candidate set; each delta is the plain
- * repro_flip_dcost result, bit for bit.  Returns -1 on success, else the
- * index of the first failing candidate (its ledger carries the err code).
- */
-int64_t repro_flip_dcost_many(rledger **ls, const int64_t *li,
-                              const int64_t *ci, const int64_t *cj,
-                              int64_t n, double *out) {
-    int64_t k;
-    for (k = 0; k < n; k++) {
-        rledger *L = ls[li[k]];
-        out[k] = repro_flip_dcost(L, ci[k], cj[k]);
-        if (L->err)
-            return k;
-    }
-    return -1;
 }
 
 /* link→comms index: sorted insert / remove (optional: lc == NULL skips) */

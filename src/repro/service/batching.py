@@ -14,12 +14,10 @@ live in :mod:`repro.service.server`, which now re-exports it):
   fill.  Unchanged contract: ``(status, body)``, pure with respect to
   process state modulo the artifact store.
 * :func:`handle_batch_docs` — the batch evaluator: the same handler
-  over every document of a batch with one shared parse cache, one
+  over every document of a batch with one shared parse cache, and one
   shared *evaluation* for identical cache-off documents (request
   coalescing — under saturation the same churn re-route is in flight
-  many times at once), and one stacked multi-problem *final grading*
-  for the batch's distinct cache-off documents (``REPRO_STACKED``,
-  see :mod:`repro.mesh.kernel`).  Each result is a pure function of its own
+  many times at once).  Each result is a pure function of its own
   ``(problem, prev, solver, polish, seed)`` — evaluation order cannot
   leak between requests — so batched responses are **bit-identical**
   to one-at-a-time :func:`handle_request_doc` (``elapsed_ms``, a
@@ -60,16 +58,13 @@ from repro.service.cache import (
     request_wire,
     save_cached,
 )
-from repro.mesh.kernel import stacked_enabled
 from repro.service.warmstart import (
     DEFAULT_POLISH,
     DEFAULT_SOLVER,
     RouteOutcome,
     _check_polish,
     _check_seed,
-    finalize_outcomes,
     route_incremental,
-    solve_request,
 )
 from repro.utils.validation import ReproError
 
@@ -82,9 +77,9 @@ BatchResults = List[Tuple[int, Dict[str, Any]]]
 #: process-lifetime parse cache shared by every batch this process
 #: evaluates.  Promoted from one-instance-per-batch so steady traffic
 #: repeating a platform across batches parses it once per process, not
-#: once per batch; the LRU bound (``REPRO_PARSE_CACHE``) keeps it from
-#: growing with distinct-platform traffic.  Each pool worker holds its
-#: own copy — a ParseCache must never cross a process boundary.
+#: once per batch; the LRU bound keeps it from growing with
+#: distinct-platform traffic.  Each pool worker holds its own copy — a
+#: ParseCache must never cross a process boundary.
 _PARSE_CACHE = ParseCache()
 
 
@@ -247,51 +242,6 @@ def _coalesce_key(doc: Any, use_cache: bool) -> Optional[str]:
         return None
 
 
-def _solve_docs_stacked(
-    indices: List[int],
-    docs: List[Any],
-    results: List[Optional[Tuple[int, Dict[str, Any]]]],
-    *,
-    use_cache: bool,
-    parse_cache: Optional[ParseCache],
-) -> None:
-    """Evaluate cache-off documents with one stacked final grading.
-
-    Each document still parses and solves on its own (per-request purity
-    is the coalescing contract), but the final strict evaluations — one
-    :meth:`~repro.core.routing.Routing.total_power` + validity check per
-    request — are graded together through
-    :func:`~repro.service.warmstart.finalize_outcomes`'s
-    multi-problem pass.  Bodies are bit-identical to
-    :func:`handle_request_doc`'s (``elapsed_ms`` excepted, as always).
-    """
-    solved: List[Tuple[int, float, Any, Any]] = []
-    for i in indices:
-        t0 = time.perf_counter()
-        try:
-            req = parse_request_doc(
-                docs[i], use_cache=use_cache, parse_cache=parse_cache
-            )
-            routing, stats = solve_request(
-                req.problem,
-                req.prev,
-                solver=req.solver,
-                polish=req.polish,
-                seed=req.seed,
-            )
-        except ReproError as exc:
-            results[i] = (400, {"ok": False, "error": str(exc)})
-            continue
-        solved.append((i, t0, routing, stats))
-    outcomes = finalize_outcomes([(r, s) for _, _, r, s in solved])
-    for (i, t0, _, _), outcome in zip(solved, outcomes):
-        body = outcome_to_doc(outcome)
-        body["ok"] = True
-        body["cache_hit"] = False
-        body["elapsed_ms"] = (time.perf_counter() - t0) * 1e3
-        results[i] = (200, body)
-
-
 def handle_batch_docs(
     docs: List[Any],
     *,
@@ -306,51 +256,25 @@ def handle_batch_docs(
     platform caches) once.  Identical *cache-off* documents go further
     and share one evaluation outright (see :func:`_coalesce_key`) —
     under saturation the same churn re-route is often in flight many
-    times at once, and one answer serves every copy — and the batch's
-    *distinct* cache-off documents share one stacked final evaluation
-    (:func:`_solve_docs_stacked`; ``REPRO_STACKED=0`` restores the
-    looped reference).  Results are bit-identical to calling
-    :func:`handle_request_doc` once per document — each response is a
-    pure function of its own request.
+    times at once, and one answer serves every copy.  Results are
+    bit-identical to calling :func:`handle_request_doc` once per
+    document — each response is a pure function of its own request.
     """
     parse_cache = _PARSE_CACHE
     keys = [_coalesce_key(doc, use_cache) for doc in docs]
     first_seen: Dict[str, int] = {}
     results: List[Optional[Tuple[int, Dict[str, Any]]]] = [None] * len(docs)
-    stacked: List[int] = []
     for i, doc in enumerate(docs):
         if keys[i] is not None:
             if keys[i] in first_seen:
                 continue  # replica — filled from its prototype below
             first_seen[keys[i]] = i
-            # cache-off prototype: eligible for the stacked evaluation
-            # (want_cache is False by construction, so the artifact
-            # store is never consulted and order cannot matter)
-            stacked.append(i)
-            continue
         results[i] = handle_request_doc(
             doc,
             cache_dir=cache_dir,
             use_cache=use_cache,
             parse_cache=parse_cache,
         )
-    if stacked:
-        if stacked_enabled() and len(stacked) > 1:
-            _solve_docs_stacked(
-                stacked,
-                docs,
-                results,
-                use_cache=use_cache,
-                parse_cache=parse_cache,
-            )
-        else:
-            for i in stacked:
-                results[i] = handle_request_doc(
-                    docs[i],
-                    cache_dir=cache_dir,
-                    use_cache=use_cache,
-                    parse_cache=parse_cache,
-                )
     for i in range(len(docs)):
         if results[i] is None:
             status, body = results[first_seen[keys[i]]]

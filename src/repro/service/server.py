@@ -326,6 +326,7 @@ class RoutingServer:
             "slow_reads": 0,
             "batches": 0,
             "batched": 0,
+            "handler_errors": 0,
         }
 
     # ------------------------------------------------------------------
@@ -613,8 +614,13 @@ class RoutingServer:
                 pass
         except asyncio.CancelledError:  # loop shutdown mid-keep-alive
             pass
-        except Exception:  # defensive: never kill the accept loop
-            pass
+        except Exception as exc:  # never kill the accept loop, never hide it
+            self.stats["handler_errors"] += 1
+            print(
+                f"repro-serve handler error: {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+                flush=True,
+            )
         finally:
             try:
                 _shutdown_socket(writer)

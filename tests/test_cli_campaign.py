@@ -23,13 +23,9 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        from repro.mesh.kernel import stacked_mode
         from repro.native import active_tier
 
-        assert out.strip() == (
-            f"repro {__version__} "
-            f"(tier: {active_tier()}, stacked: {stacked_mode()})"
-        )
+        assert out.strip() == f"repro {__version__} (tier: {active_tier()})"
 
     def test_version_resolves_to_pyproject(self):
         import re

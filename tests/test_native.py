@@ -152,11 +152,10 @@ class TestTierAttributes:
         from repro.version import __version__
 
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        monkeypatch.delenv("REPRO_STACKED", raising=False)
         with pytest.raises(SystemExit):
             main(["--version"])
         out = capsys.readouterr().out.strip()
-        assert out == f"repro {__version__} (tier: python, stacked: auto)"
+        assert out == f"repro {__version__} (tier: python)"
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,12 @@ from repro.experiments import (
     run_sweep,
     run_trial,
 )
-from repro.experiments.runner import BEST_KEY, _chunk_bounds
+from repro.experiments.runner import (
+    BEST_KEY,
+    _chunk_bounds,
+    _draw_trial_problem,
+)
+from repro.heuristics import available_heuristics, get_heuristic
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import InvalidParameterError
 
@@ -116,6 +121,25 @@ class TestTrialRecords:
         )
         assert set(rec.outcomes) == {"XY", "SG", BEST_KEY}
         assert rec.best_valid == rec.outcomes[BEST_KEY].valid
+
+    @pytest.mark.parametrize("name", available_heuristics())
+    def test_run_trial_matches_solve(self, name):
+        """run_trial grades after routing; each outcome must equal what
+        ``solve`` returns on the same instance and reseed order."""
+        mesh = Mesh(5, 5)
+        power = PowerModel.kim_horowitz()
+        workload = UniformRandomFactory(8, 100.0, 1200.0)
+        rec = run_trial(mesh, power, workload, spawn_rngs(4, 1)[0], (name,))
+        h = get_heuristic(name)
+        problem = _draw_trial_problem(
+            mesh, power, workload, spawn_rngs(4, 1)[0], [h]
+        )
+        want = h.solve(problem)
+        got = rec.outcomes[want.name]
+        assert got.valid == want.valid
+        assert got.power_inverse.hex() == want.power_inverse.hex()
+        static = want.report.static_fraction if want.valid else 0.0
+        assert got.static_fraction.hex() == static.hex()
 
 
 class TestSummaryJobs:

@@ -79,6 +79,25 @@ class TestParseCache:
         value = cache.get("k", {"x": object()}, lambda d: calls.append(d) or 7)
         assert value == 7 and cache.hits == cache.misses == 0
 
+    def test_lru_evicts_least_recently_used(self):
+        cache = ParseCache(maxsize=2)
+        docs = [{"n": i} for i in range(3)]
+        built = []
+
+        def build(doc):
+            built.append(doc["n"])
+            return doc["n"]
+
+        cache.get("k", docs[0], build)
+        cache.get("k", docs[1], build)
+        assert cache.get("k", docs[0], build) == 0  # re-read: now newest
+        cache.get("k", docs[2], build)  # full: evicts docs[1], the oldest
+        assert cache.evictions == 1 and len(cache) == 2
+        assert cache.get("k", docs[0], build) == 0  # survived
+        assert built == [0, 1, 2]
+        cache.get("k", docs[1], build)  # evicted: parsed again
+        assert built == [0, 1, 2, 1]
+
 
 # ----------------------------------------------------------------------
 class TestBatchParity:

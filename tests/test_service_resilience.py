@@ -344,6 +344,32 @@ class TestDroppedConnections:
                 client.route(request_doc(small_problem()))
 
 
+class TestHandlerErrors:
+    def test_handler_failure_is_counted_and_logged(
+        self, tmp_path, monkeypatch, capfd
+    ):
+        with _LiveServer(cache_dir=str(tmp_path)) as live:
+            real = live.server._serve_one
+            failures = []
+
+            async def fail_once(reader, writer):
+                if not failures:
+                    failures.append(1)
+                    raise RuntimeError("injected handler failure")
+                return await real(reader, writer)
+
+            monkeypatch.setattr(live.server, "_serve_one", fail_once)
+            client = ServiceClient("127.0.0.1", live.port, retry=None)
+            with pytest.raises(ReproError):
+                client.health()
+            # the accept loop survived: the next connection is served
+            client = ServiceClient("127.0.0.1", live.port, retry=None)
+            assert client.route(request_doc(small_problem()))["ok"]
+            assert client.stats()["handler_errors"] == 1
+        err = capfd.readouterr().err
+        assert "handler error: RuntimeError: injected handler failure" in err
+
+
 # ----------------------------------------------------------------------
 class TestClientKeepAlive:
     def test_connection_is_reused_across_requests(self, tmp_path):
