@@ -13,12 +13,6 @@ by the N-SPEED ``noc`` suite) is diffed against the file's own
 fractions rather than heuristic names, the before side is the reference
 simulator and the after side the array engine.
 
-E-SAT files embed a throughput table instead of a before side: one
-saturated-RPS row per serving configuration with the in-run speedup
-over the unbatched single front.  One file prints that table (the
-latency percentiles stay in ``median_ms``); two files additionally
-diff saturated RPS per configuration.
-
 Files recorded on a machine with the native C tier built carry a third
 column, ``native_median_ms`` (the same rows timed under
 ``REPRO_NATIVE=1``); when present it is printed as an extra
@@ -44,7 +38,6 @@ KNOWN_SUITES = (
     "noc-speed",
     "e-churn",
     "e-soak",
-    "e-sat",
 )
 
 #: per-suite labels for a file's embedded before/after pair
@@ -90,37 +83,6 @@ def diff(before: dict, after: dict, b_label: str, a_label: str) -> int:
     return 0
 
 
-def sat_table(doc: dict, name: str) -> None:
-    """The embedded E-SAT throughput table of one file."""
-    rps = doc.get("saturated_rps", {})
-    if not rps:
-        return
-    speedup = doc.get("speedup_vs_single_unbatched", {})
-    width = max(len(n) for n in rps)
-    print(f"[{name}: saturated throughput per serving configuration]")
-    print(f"{'':{width}}  {'saturated':>12}  {'speedup':>8}")
-    for config, value in rps.items():
-        ratio = speedup.get(config, float("nan"))
-        print(f"{config:{width}}  {value:9.1f}rps  {ratio:7.2f}x")
-
-
-def sat_diff(doc_b: dict, doc_a: dict, b_name: str, a_name: str) -> None:
-    """Saturated-RPS ratios between two E-SAT files (after / before)."""
-    before, after = doc_b.get("saturated_rps", {}), doc_a.get(
-        "saturated_rps", {}
-    )
-    names = [n for n in before if n in after]
-    if not names:
-        return
-    width = max(len(n) for n in names)
-    print(f"[saturated RPS: {b_name} -> {a_name}]")
-    print(f"{'':{width}}  {b_name:>12}  {a_name:>12}  {'speedup':>8}")
-    for config in names:
-        b, a = before[config], after[config]
-        ratio = a / b if b > 0 else float("inf")
-        print(f"{config:{width}}  {b:9.1f}rps  {a:9.1f}rps  {ratio:7.2f}x")
-
-
 def native_table(doc: dict, name: str) -> None:
     """The python-vs-native table of one file, when it records one."""
     if "native_median_ms" not in doc:
@@ -138,10 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     doc_b = load(args.before)
     if args.after is None:
         if "before_median_ms" not in doc_b:
-            if doc_b.get("suite") == "e-sat":
-                sat_table(doc_b, args.before.name)
-                native_table(doc_b, args.before.name)
-                return 0
             if "native_median_ms" in doc_b:
                 native_table(doc_b, args.before.name)
                 return 0
@@ -174,8 +132,6 @@ def main(argv: list[str] | None = None) -> int:
     rc = diff(
         doc_b["median_ms"], doc_a["median_ms"], args.before.stem, args.after.stem
     )
-    if doc_a.get("suite") == "e-sat":
-        sat_diff(doc_b, doc_a, args.before.stem, args.after.stem)
     native_table(doc_a, args.after.name)
     return rc
 

@@ -3,9 +3,8 @@
 Usage::
 
     python benchmarks/record_baseline.py [n]
-                                         [--suite heuristic|meta|noc|churn|soak|sat]
+                                         [--suite heuristic|meta|noc|churn|soak]
                                          [--rounds R] [--before FILE]
-                                         [--sat-gate X]
 
 Suites:
 
@@ -49,29 +48,7 @@ Suites:
   and on the fault plan being fully consumed (``pool_rebuilds``/
   ``drops`` observed); a deterministic backpressure probe (one slot, no
   queue, a delay fault pinning the slot) asserts the 429 + Retry-After
-  path and that a retrying client rides it out.  The soaked server runs
-  with micro-batching enabled, so the chaos semantics (faulted requests
-  bypass the batcher) are exercised under coalescing too.
-* ``sat`` (the **E-SAT** suite) — the service scaling bench: real
-  ``repro serve`` subprocesses in three configurations (a single
-  unbatched pooled front — the pre-scaling deployment — a single
-  batched front, and a ``--shards 2`` prefork batched front), each
-  swept with thread fleets of 4/16/48 concurrent clients (past the
-  fleets' ``--max-inflight 32``) firing churn-style warm requests in
-  synchronized waves (every client re-requesting the same deployment
-  update at once — the concurrent-duplicate regime coalescing
-  targets).
-  ``median_ms`` holds per-(config, clients) p50/p99 latencies; RPS
-  tables, the saturated RPS per config and the batched+sharded vs
-  unbatched speedup ride in extras.  Gates while timing: every
-  response bit-identical to a serial
-  :func:`~repro.service.handle_request_doc` run of the same documents,
-  zero client-visible failures, batches actually observed on the
-  batched configs, every server exiting 0 after SIGTERM, and
-  saturated batched+sharded throughput at least ``--sat-gate`` times
-  (default 2.0) the unbatched single front **measured in the same
-  run** (same machine, same minute — pass ``--sat-gate 0`` on shared
-  CI runners where absolute throughput ratios flake).
+  path and that a retrying client rides it out.
 
 ``--before FILE`` embeds a previously recorded run of the same suite as
 ``before_median_ms`` and computes per-heuristic speedups — record the
@@ -145,48 +122,6 @@ SOAK_REQUESTS = 3
 SOAK_JOBS = 2
 SOAK_FAULTS = "crash@2,delay@5:0.08,drop@8"
 SOAK_PERCENTILES = (50, 99)
-SOAK_BATCH_WINDOW_MS = 4.0
-
-#: the E-SAT instance: churn-regime warm requests (all variants re-route
-#: from one shared deployed routing) small enough that per-request
-#: dispatch overhead — what batching and sharding attack — dominates
-SAT_MESH = (4, 4)
-SAT_COMMS = 8
-SAT_RATES = (100.0, 700.0)
-SAT_SEED = 900
-SAT_VARIANTS = 8
-SAT_CLIENTS = (4, 16, 48)
-SAT_TOTAL_REQUESTS = 288
-SAT_JOBS = 2
-SAT_SHARDS = 2
-SAT_BATCH_WINDOW_MS = 2.0
-SAT_MAX_BATCH = 16
-#: admission width for every E-SAT config -- twice ``SAT_MAX_BATCH`` so
-#: the next batch forms while the current one evaluates (with admission
-#: == max_batch the window degenerates into dead time between batches);
-#: the client sweep still tops out past it
-SAT_MAX_INFLIGHT = 32
-SAT_PERCENTILES = (50, 99)
-
-#: E-SAT configurations: extra ``repro serve`` flags per column
-SAT_CONFIGS = {
-    "single-unbatched": [
-        "--jobs", str(SAT_JOBS),
-        "--max-inflight", str(SAT_MAX_INFLIGHT),
-    ],
-    "single-batched": [
-        "--jobs", str(SAT_JOBS),
-        "--max-inflight", str(SAT_MAX_INFLIGHT),
-        "--batch-window", str(SAT_BATCH_WINDOW_MS),
-        "--max-batch", str(SAT_MAX_BATCH),
-    ],
-    "sharded-batched": [
-        "--shards", str(SAT_SHARDS), "--jobs", "1",
-        "--max-inflight", str(SAT_MAX_INFLIGHT),
-        "--batch-window", str(SAT_BATCH_WINDOW_MS),
-        "--max-batch", str(SAT_MAX_BATCH),
-    ],
-}
 
 #: M-SPEED rows: fresh default-budget instances, fixed seed per round
 META_FACTORIES = {
@@ -664,16 +599,13 @@ def measure_soak(rounds: int) -> tuple[dict, dict]:
         latencies: list[float] = []
         counters = {
             k: 0
-            for k in ("pool_rebuilds", "drops", "timeouts", "batches",
-                      "batched")
+            for k in ("pool_rebuilds", "drops", "timeouts")
         }
         for _ in range(rounds):
             plan = FaultPlan.parse(SOAK_FAULTS)
-            # batching is ON during the soak: coalescing must survive
-            # the chaos plan (faulted requests bypass the batcher)
             with tempfile.TemporaryDirectory() as tmp, _soak_server(
                 jobs=SOAK_JOBS, cache_dir=tmp, use_cache=False,
-                fault_plan=plan, batch_window=SOAK_BATCH_WINDOW_MS / 1e3,
+                fault_plan=plan,
             ) as (server, port):
                 results: list = [None] * len(docs)
                 times: list = [None] * len(docs)
@@ -724,260 +656,14 @@ def measure_soak(rounds: int) -> tuple[dict, dict]:
         f"p{p}": round(float(np.percentile(latencies, p)) * 1e3, 4)
         for p in SOAK_PERCENTILES
     }
-    assert counters["batched"] >= 1, "batching never engaged in the soak"
     extras = {
         "timing_tier": "python",
         "fault_plan": SOAK_FAULTS,
-        "batch_window_ms": SOAK_BATCH_WINDOW_MS,
         "requests_total": len(latencies),
         "zero_failures": True,
         "bit_identical_to_serial": True,
         "chaos_counters": counters,
         "backpressure": probe,
-    }
-    return medians, extras
-
-
-@contextlib.contextmanager
-def _sat_server(extra_flags):
-    """A real ``repro serve`` subprocess → ``(proc, port)``.
-
-    Asserts a clean SIGTERM drain (exit 0) on the way out — every E-SAT
-    configuration must shut down gracefully, prefork included.
-    """
-    import signal
-    import subprocess
-
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    env.pop("REPRO_FAULTS", None)
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--no-cache", *extra_flags,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    try:
-        line = proc.stdout.readline()
-        m = re.search(r"http://[\d.]+:(\d+)", line)
-        if m is None:
-            proc.kill()
-            raise AssertionError(
-                f"no listening line: {line!r} {proc.stdout.read()!r}"
-            )
-        yield proc, int(m.group(1))
-    finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-        out, _ = proc.communicate(timeout=60)
-        assert proc.returncode == 0, (
-            f"serve subprocess exited {proc.returncode}:\n{out}"
-        )
-
-
-def sat_docs() -> list:
-    """The E-SAT request documents: churn-regime warm re-routes.
-
-    One base instance is routed once; every variant document perturbs
-    one communication's rate and asks for a warm re-route from the
-    *shared* deployed routing — the resubmission-heavy regime the
-    service is built for, and the one where a batch shares the dominant
-    previous-routing parse.
-    """
-    from repro import Communication
-    from repro.io.jsonio import problem_to_dict, routing_to_dict
-    from repro.service import route_incremental
-
-    mesh = Mesh(*SAT_MESH)
-    power = PowerModel.kim_horowitz()
-    base = RoutingProblem(
-        mesh,
-        power,
-        uniform_random_workload(mesh, SAT_COMMS, *SAT_RATES, rng=SAT_SEED),
-    )
-    prev = routing_to_dict(route_incremental(base).routing)
-    docs = []
-    for i in range(SAT_VARIANTS):
-        comms = list(base.comms)
-        victim = i % len(comms)
-        comms[victim] = Communication(
-            comms[victim].src, comms[victim].snk,
-            comms[victim].rate + 10.0 * (i + 1),
-        )
-        docs.append({
-            "problem": problem_to_dict(
-                RoutingProblem(mesh, power, comms)
-            ),
-            "prev": prev,
-            "polish": "none",
-            "cache": False,
-        })
-    return docs
-
-
-def _sat_wave(port, docs, clients):
-    """One load wave: ``clients`` threads over a pooled client.
-
-    Returns ``(results, doc_indices, latencies, wall_seconds)`` for
-    ``SAT_TOTAL_REQUESTS`` requests split evenly across the threads.
-    The fleet moves in *synchronized churn waves*: every thread's
-    ``ri``-th request re-routes the same deployment update
-    (``docs[ri % len(docs)]``) — the concurrent-duplicate regime a
-    saturated service actually sees (one rate change, every frontend
-    re-requesting it at once) and the one request coalescing targets.
-    Every config and fleet size answers the same request mix.
-    """
-    import threading
-
-    from repro.service import RetryPolicy, ServiceClient
-
-    per = SAT_TOTAL_REQUESTS // clients
-    total = per * clients
-    client = ServiceClient(
-        "127.0.0.1", port, pool_size=clients,
-        retry=RetryPolicy(seed=17), timeout=120,
-    )
-    results: list = [None] * total
-    doc_idx: list = [None] * total
-    laten: list = [None] * total
-    failures: list = []
-
-    def drive(ci: int):
-        try:
-            for ri in range(per):
-                idx = ci * per + ri
-                doc_idx[idx] = ri % len(docs)
-                t0 = time.perf_counter()
-                results[idx] = client.route(docs[ri % len(docs)])
-                laten[idx] = time.perf_counter() - t0
-        except Exception as exc:  # noqa: BLE001 — the gate below
-            failures.append((ci, repr(exc)))
-
-    threads = [
-        threading.Thread(target=drive, args=(ci,))
-        for ci in range(clients)
-    ]
-    t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(300)
-    wall = time.perf_counter() - t0
-    client.close()
-    assert not failures, f"client-visible failures: {failures}"
-    return results, doc_idx, laten, wall
-
-
-def measure_sat(rounds: int, gate: float = 2.0) -> tuple[dict, dict]:
-    """E-SAT: saturation sweep over serving configurations.
-
-    For each configuration a real ``repro serve`` subprocess is swept
-    with client fleets past ``--max-inflight``; RPS is best-of-rounds
-    per (config, fleet) and latencies pool across rounds.  Gates while
-    timing: bit-identity of every response to a serial
-    ``handle_request_doc`` run, zero failures, batches observed on
-    batched configs, clean drains, and the in-run speedup ``gate``.
-    """
-    import hashlib
-
-    from repro.service import ServiceClient, handle_request_doc
-
-    tier = "native" if native_available() else "python"
-    with _tier(tier):  # subprocess servers inherit the pinned tier
-        docs = sat_docs()
-
-        def digest(body):
-            doc = {k: v for k, v in body.items() if k != "elapsed_ms"}
-            wire = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            return hashlib.sha256(wire.encode()).hexdigest()
-
-        reference = []
-        for doc in docs:  # the serial truth every response must match
-            status, body = handle_request_doc(doc, use_cache=False)
-            assert status == 200, body
-            reference.append(digest(body))
-
-        rps: dict = {name: {} for name in SAT_CONFIGS}
-        laten: dict = {
-            name: {c: [] for c in SAT_CLIENTS} for name in SAT_CONFIGS
-        }
-        batching: dict = {}
-        for name, flags in SAT_CONFIGS.items():
-            with _sat_server(flags) as (proc, port):
-                probe = ServiceClient("127.0.0.1", port, timeout=120)
-                probe.wait_ready()
-                for doc in docs:  # warm every per-problem lazy cache
-                    assert probe.route(doc)["ok"]
-                for _ in range(rounds):
-                    for clients in SAT_CLIENTS:
-                        results, doc_idx, times, wall = _sat_wave(
-                            port, docs, clients
-                        )
-                        for idx, body in enumerate(results):
-                            assert digest(body) == \
-                                reference[doc_idx[idx]], (
-                                f"{name}/c{clients}: response {idx} "
-                                "diverged from the serial run"
-                            )
-                        point = round(len(results) / wall, 1)
-                        rps[name][clients] = max(
-                            rps[name].get(clients, 0.0), point
-                        )
-                        laten[name][clients].extend(times)
-                stats = probe.stats()
-                probe.close()
-                assert stats.get("errors", 0) == 0, stats
-                batching[name] = {
-                    "batches": stats.get("batches", 0),
-                    "batched": stats.get("batched", 0),
-                }
-                if "--batch-window" in flags:
-                    assert batching[name]["batches"] >= 1, (
-                        f"{name} never formed a batch", stats
-                    )
-                else:
-                    assert batching[name]["batched"] == 0, (
-                        f"{name} batched without being asked", stats
-                    )
-    medians = {
-        f"{name}/c{clients}/p{p}": round(
-            float(np.percentile(ts, p)) * 1e3, 4
-        )
-        for name, per in laten.items()
-        for clients, ts in per.items()
-        for p in SAT_PERCENTILES
-    }
-    saturated = {name: max(per.values()) for name, per in rps.items()}
-    speedup = round(
-        saturated["sharded-batched"] / saturated["single-unbatched"], 2
-    )
-    if gate > 0:
-        assert speedup >= gate, (
-            "batched+sharded saturated throughput "
-            f"{saturated['sharded-batched']} RPS is only {speedup}x the "
-            f"unbatched single front {saturated['single-unbatched']} RPS "
-            f"(gate: {gate}x)"
-        )
-    extras = {
-        "timing_tier": tier,
-        "rps": {
-            name: {f"c{c}": v for c, v in per.items()}
-            for name, per in rps.items()
-        },
-        "saturated_rps": saturated,
-        "speedup_vs_single_unbatched": {
-            name: round(v / saturated["single-unbatched"], 2)
-            for name, v in saturated.items()
-        },
-        "gated_speedup": speedup,
-        "gate": gate,
-        "batching": batching,
-        "zero_failures": True,
-        "bit_identical_to_serial": True,
-        "clean_drains": True,
     }
     return medians, extras
 
@@ -988,11 +674,10 @@ SUITES = {
     "noc": ("noc-speed", measure_noc),
     "churn": ("e-churn", measure_churn),
     "soak": ("e-soak", measure_soak),
-    "sat": ("e-sat", measure_sat),
 }
 
 #: suites that embed their own before side (reject a conflicting --before)
-SELF_BEFORE_SUITES = {"noc", "churn", "sat"}
+SELF_BEFORE_SUITES = {"noc", "churn"}
 
 
 def next_bench_number() -> int:
@@ -1016,20 +701,9 @@ def main(argv: list[str] | None = None) -> int:
         help="previously recorded BENCH json of the same suite to embed "
         "as the before side (with per-heuristic speedups)",
     )
-    parser.add_argument(
-        "--sat-gate",
-        type=float,
-        default=2.0,
-        help="E-SAT in-run speedup floor for batched+sharded vs the "
-        "unbatched single front (0 disables the gate; default: 2.0)",
-    )
     args = parser.parse_args(argv)
     n = args.n if args.n is not None else next_bench_number()
     suite_name, measure = SUITES[args.suite]
-    if args.suite == "sat":
-        import functools
-
-        measure = functools.partial(measure_sat, gate=args.sat_gate)
     if args.before is not None and args.suite in SELF_BEFORE_SUITES:
         print(
             f"--before is not supported for the {args.suite!r} suite: it "
@@ -1062,22 +736,6 @@ def main(argv: list[str] | None = None) -> int:
             "requests_per_client": SOAK_REQUESTS,
             "jobs": SOAK_JOBS,
             "fault_plan": SOAK_FAULTS,
-        }
-    elif args.suite == "sat":
-        instance = {
-            "mesh": f"{SAT_MESH[0]}x{SAT_MESH[1]}",
-            "num_comms": SAT_COMMS,
-            "rates": list(SAT_RATES),
-            "workload_seed": SAT_SEED,
-            "power_model": "kim_horowitz",
-            "variants": SAT_VARIANTS,
-            "clients": list(SAT_CLIENTS),
-            "requests_per_wave": SAT_TOTAL_REQUESTS,
-            "jobs": SAT_JOBS,
-            "shards": SAT_SHARDS,
-            "batch_window_ms": SAT_BATCH_WINDOW_MS,
-            "max_batch": SAT_MAX_BATCH,
-            "polish": "none",
         }
     elif args.suite == "churn":
         instance = {

@@ -188,18 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "supervisor restarts dead shards and /stats aggregates the "
         "fleet (default: 1 = classic single process)",
     )
-    srv.add_argument(
-        "--batch-window", type=float, default=None, metavar="MS",
-        help="micro-batching: coalesce concurrently-queued /route "
-        "requests for up to MS milliseconds (0 coalesces within one "
-        "event-loop tick) into one pool submission sharing parse "
-        "caches; responses stay bit-identical (default: off)",
-    )
-    srv.add_argument(
-        "--max-batch", type=int, default=8, metavar="N",
-        help="micro-batching: submit a batch once N requests wait "
-        "(default: 8)",
-    )
     srv.set_defaults(func=cmd_serve)
 
     sc = sub.add_parser(

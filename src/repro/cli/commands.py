@@ -481,8 +481,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finishes in-flight requests under ``--drain-timeout``, then closes
     the worker pool.  A fault plan in ``REPRO_FAULTS`` (chaos testing)
     is honoured.  ``--shards N`` preforks N accept-loop processes under
-    a restarting supervisor; ``--batch-window`` coalesces concurrent
-    requests into shared-cache batch submissions.
+    a restarting supervisor.
     """
     import asyncio
     import signal
@@ -501,12 +500,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     check_min(args.max_inflight, "--max-inflight")
     check_min(args.queue_depth, "--queue-depth", 0)
     check_min(args.shards, "--shards")
-    if args.batch_window is not None and not args.batch_window >= 0:
-        raise ReproError(
-            "--batch-window must be >= 0 milliseconds, "
-            f"got {args.batch_window}"
-        )
-    check_min(args.max_batch, "--max-batch")
     if args.compute_timeout is not None and not args.compute_timeout > 0:
         raise ReproError(
             f"--compute-timeout must be > 0 seconds, got {args.compute_timeout}"
@@ -515,9 +508,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError(
             f"--drain-timeout must be >= 0 seconds, got {args.drain_timeout}"
         )
-    batch_window = (
-        None if args.batch_window is None else args.batch_window / 1e3
-    )
     server_kwargs = dict(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -525,8 +515,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         queue_depth=args.queue_depth,
         compute_timeout=args.compute_timeout,
-        batch_window=batch_window,
-        max_batch=args.max_batch,
         verbose=args.verbose,
     )
     if args.shards > 1:
@@ -549,16 +537,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port = srv.sockets[0].getsockname()[1]
             where = f"http://{args.host}:{port}"
         cache = "off" if args.no_cache else (args.cache_dir or "default")
-        batching = (
-            "off" if batch_window is None
-            else f"{args.batch_window:g}ms/max{args.max_batch}"
-        )
         print(
             f"repro service listening on {where} "
             f"(jobs={args.jobs}, cache={cache}, "
             f"max_inflight={args.max_inflight}, "
-            f"queue_depth={args.queue_depth}, "
-            f"batching={batching})",
+            f"queue_depth={args.queue_depth})",
             flush=True,
         )
         loop = asyncio.get_running_loop()

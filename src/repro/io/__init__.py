@@ -7,7 +7,6 @@ spreadsheet-friendly editing.
 """
 
 from repro.io.jsonio import (
-    ParseCache,
     problem_to_dict,
     problem_from_dict,
     routing_to_dict,
@@ -20,7 +19,6 @@ from repro.io.jsonio import (
 from repro.io.csvio import workload_to_csv, workload_from_csv
 
 __all__ = [
-    "ParseCache",
     "problem_to_dict",
     "problem_from_dict",
     "routing_to_dict",

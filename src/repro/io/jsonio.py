@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Union
 
 from repro.core.power import PowerModel
 from repro.core.problem import Communication, RoutingProblem
@@ -21,83 +21,6 @@ from repro.mesh.topology import Mesh
 from repro.utils.validation import InvalidParameterError
 
 PathLike = Union[str, pathlib.Path]
-
-#: default ceiling on memoized parses per :class:`ParseCache` — sized for
-#: the service front, where one cache lives for the whole process
-_PARSE_CACHE_DEFAULT = 256
-
-
-class ParseCache:
-    """Equality-keyed LRU memo for repeated document parses.
-
-    Batched service requests routinely repeat sub-documents: every
-    request of a batch tends to share one mesh, one power model and —
-    under churn traffic — one previous routing.  A ``ParseCache``
-    passed to the ``*_from_dict`` loaders memoizes parsed objects by
-    the canonical JSON of their source document, so a batch pays each
-    distinct parse (and the platform caches hanging off it: link
-    arrays, graded power tables, routing kernels) once instead of once
-    per request.
-
-    The memo is bounded: at most ``maxsize`` entries (256 by default),
-    least-recently-*used* evicted first, with the eviction count kept on
-    :attr:`evictions`.  A process-lifetime cache under adversarial
-    traffic (every request a distinct mesh) therefore stays O(maxsize)
-    instead of growing without bound.
-
-    Sharing is sound because parsing is a pure function of the
-    document and every consumer treats the parsed objects as
-    immutable (their internal lazy caches are deterministic).  A cache
-    may live as long as its process; never share one across worker
-    processes.
-    """
-
-    __slots__ = ("_memo", "maxsize", "hits", "misses", "evictions")
-
-    def __init__(self, maxsize: int = _PARSE_CACHE_DEFAULT) -> None:
-        if maxsize < 1:
-            raise InvalidParameterError(
-                f"ParseCache maxsize must be >= 1, got {maxsize}"
-            )
-        self._memo: Dict[Tuple[str, str], Any] = {}
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    def get(self, kind: str, doc: Any, build: Callable[[Any], Any]) -> Any:
-        """Parse ``doc`` via ``build``, memoized under ``(kind, doc)``.
-
-        Failed parses are never memoized; a document that cannot be
-        canonicalised is parsed uncached.
-        """
-        try:
-            key = (kind, json.dumps(doc, sort_keys=True,
-                                    separators=(",", ":")))
-        except (TypeError, ValueError):
-            return build(doc)
-        try:
-            # pop + reinsert keeps the dict in recency order, so the
-            # oldest entry (the eviction victim) is always first
-            value = self._memo.pop(key)
-        except KeyError:
-            self.misses += 1
-            value = build(doc)
-            while len(self._memo) >= self.maxsize:
-                self._memo.pop(next(iter(self._memo)))
-                self.evictions += 1
-        else:
-            self.hits += 1
-        self._memo[key] = value
-        return value
-
-
-def _via(cache: Optional[ParseCache], kind: str, doc: Any,
-         build: Callable[[Any], Any]) -> Any:
-    return build(doc) if cache is None else cache.get(kind, doc, build)
 
 PROBLEM_FORMAT = "repro/problem@1"
 ROUTING_FORMAT = "repro/routing@1"
@@ -169,28 +92,15 @@ def problem_to_dict(problem: RoutingProblem) -> Dict[str, Any]:
     }
 
 
-def problem_from_dict(
-    d: Dict[str, Any], cache: Optional[ParseCache] = None
-) -> RoutingProblem:
-    """Rebuild a problem (re-validating every field).
-
-    With a :class:`ParseCache`, the problem and its mesh / power-model
-    sub-documents are interned by canonical JSON, so repeated documents
-    share one parsed object (and its platform caches).
-    """
-    return _via(cache, "problem", d, lambda doc: _build_problem(doc, cache))
-
-
-def _build_problem(
-    d: Dict[str, Any], cache: Optional[ParseCache]
-) -> RoutingProblem:
+def problem_from_dict(d: Dict[str, Any]) -> RoutingProblem:
+    """Rebuild a problem (re-validating every field)."""
     if d.get("format") not in (PROBLEM_FORMAT, PROBLEM_FORMAT_PROFILED):
         raise InvalidParameterError(
             f"expected format {PROBLEM_FORMAT!r} or "
             f"{PROBLEM_FORMAT_PROFILED!r}, got {d.get('format')!r}"
         )
-    mesh = _via(cache, "mesh", d["mesh"], _mesh_from_dict)
-    power = _via(cache, "power", d["power"], _power_from_dict)
+    mesh = _mesh_from_dict(d["mesh"])
+    power = _power_from_dict(d["power"])
     comms = [
         Communication(tuple(c["src"]), tuple(c["snk"]), float(c["rate"]))
         for c in d["comms"]
@@ -214,27 +124,14 @@ def routing_to_dict(routing: Routing) -> Dict[str, Any]:
     }
 
 
-def routing_from_dict(
-    d: Dict[str, Any], cache: Optional[ParseCache] = None
-) -> Routing:
-    """Rebuild a routing; paths are re-validated against the problem.
-
-    With a :class:`ParseCache`, the whole routing (and its embedded
-    problem document) is interned — a batch of requests warm-starting
-    from the same previous routing parses it once.
-    """
-    return _via(cache, "routing", d, lambda doc: _build_routing(doc, cache))
-
-
-def _build_routing(
-    d: Dict[str, Any], cache: Optional[ParseCache]
-) -> Routing:
+def routing_from_dict(d: Dict[str, Any]) -> Routing:
+    """Rebuild a routing; paths are re-validated against the problem."""
     if d.get("format") not in (ROUTING_FORMAT, ROUTING_FORMAT_PROFILED):
         raise InvalidParameterError(
             f"expected format {ROUTING_FORMAT!r} or "
             f"{ROUTING_FORMAT_PROFILED!r}, got {d.get('format')!r}"
         )
-    problem = problem_from_dict(d["problem"], cache)
+    problem = problem_from_dict(d["problem"])
     flows = []
     for comm, fl in zip(problem.comms, d["flows"]):
         flows.append(

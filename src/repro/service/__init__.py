@@ -23,23 +23,20 @@ worker crashes / compute delays / dropped connections so every
 recovery path is exercised by ordinary tests and the E-SOAK chaos
 bench (``--suite soak``).
 
-The scaling layer saturates a host: :class:`MicroBatcher`
-(:mod:`repro.service.batching`) coalesces concurrently-queued ``/route``
-requests into one pool submission sharing a parse cache — responses stay
-bit-identical to one-at-a-time handling — and :func:`run_prefork`
-(:mod:`repro.service.prefork`, ``repro serve --shards N``) forks N
-accept-loop shards over one ``SO_REUSEPORT`` port (or one inherited unix
-socket), restarts dead shards, and aggregates ``/stats`` across the
-fleet.  The E-SAT saturation bench (``--suite sat``) gates the win.
+Every ``/route`` request takes one path: admission, then the
+request pipeline of :mod:`repro.service.batching`, run inline
+(``--jobs 1``) or in a worker pool (``--jobs N``).  To use more cores
+for the front itself, :func:`run_prefork` (:mod:`repro.service.prefork`,
+``repro serve --shards N``) forks N accept-loop shards over one
+``SO_REUSEPORT`` port (or one inherited unix socket), restarts dead
+shards, and aggregates ``/stats`` across the fleet.
 """
 
 from repro.service.batching import (
-    DEFAULT_MAX_BATCH,
-    MicroBatcher,
     ParsedRequest,
-    handle_batch_docs,
+    handle_request_doc,
+    outcome_to_doc,
     parse_request_doc,
-    probe_request_doc,
 )
 from repro.service.cache import (
     SERVICE_CACHE_NAME,
@@ -59,12 +56,7 @@ from repro.service.resilience import (
     TruncatedResponseError,
     parse_retry_after,
 )
-from repro.service.server import (
-    DEFAULT_PORT,
-    RoutingServer,
-    handle_request_doc,
-    outcome_to_doc,
-)
+from repro.service.server import DEFAULT_PORT, RoutingServer
 from repro.service.warmstart import (
     DEFAULT_POLISH,
     DEFAULT_SOLVER,
@@ -78,12 +70,8 @@ from repro.service.warmstart import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_BATCH",
-    "MicroBatcher",
     "ParsedRequest",
-    "handle_batch_docs",
     "parse_request_doc",
-    "probe_request_doc",
     "ShardServer",
     "StatsBoard",
     "run_prefork",

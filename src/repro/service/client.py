@@ -85,8 +85,8 @@ class ServiceClient:
         default ``1`` is the classic single-connection client;
         ``N > 1`` makes the client safe and non-serializing for up to
         N concurrent callers (each request exclusively holds one
-        connection for its exchange) — what the E-SAT load generator
-        and the soak suite drive through one client object.  The retry
+        connection for its exchange) — how the prefork tests reach
+        every shard through one client object.  The retry
         contract is per-request and unchanged; a transport failure
         drops only the connection it happened on.
     """

@@ -20,7 +20,8 @@ logged and **restarted** (the replacement loads its predecessor's last
 stats flush as a baseline, so aggregate counters survive the restart),
 and SIGTERM/SIGINT is fanned out as SIGTERM to every shard for a
 graceful drain — the supervisor exits 0 once all shards drained
-cleanly.
+cleanly.  A shard still starting up holds the signal pending until its
+drain handler is installed, so an early SIGTERM drains it too.
 
 ``/stats`` stays one endpoint: each shard periodically flushes its
 counters to a per-shard JSON file (:class:`StatsBoard`, atomic
@@ -42,7 +43,6 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.service.batching import parse_cache_stats
 from repro.service.resilience import FaultPlan
 from repro.service.server import RoutingServer
 from repro.utils.validation import ReproError
@@ -57,6 +57,10 @@ BACKLOG = 128
 RAPID_DEATH_S = 0.5
 #: … and this many consecutive rapid failures abort the supervisor
 MAX_RAPID_DEATHS = 10
+
+#: the signals that ask a shard to drain; blocked across ``fork`` so a
+#: shard still starting up keeps them pending instead of losing them
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 class StatsBoard:
@@ -138,9 +142,8 @@ class ShardServer(RoutingServer):
 
     def snapshot(self) -> Dict[str, int]:
         """This shard's counters, baseline included."""
-        counters = {**self.stats, **parse_cache_stats()}
         return {
-            k: v + self._baseline.get(k, 0) for k, v in counters.items()
+            k: v + self._baseline.get(k, 0) for k, v in self.stats.items()
         }
 
     def flush(self) -> None:
@@ -222,8 +225,11 @@ def _shard_main(
                 srv = await asyncio.start_server(server._handle, sock=lsock)
             loop = asyncio.get_running_loop()
             stop = asyncio.Event()
-            for sig in (signal.SIGTERM, signal.SIGINT):
+            for sig in STOP_SIGNALS:
                 loop.add_signal_handler(sig, stop.set)
+            # blocked since the fork (run_prefork.spawn): a drain request
+            # that arrived during start-up is delivered here
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
 
             async def flush_loop() -> None:
                 while True:
@@ -271,7 +277,7 @@ def run_prefork(
 
     ``server_kwargs`` are passed to every shard's
     :class:`~repro.service.server.RoutingServer` (jobs, cache, admission,
-    batching, …).  Returns the process exit code: 0 when every shard
+    deadlines, …).  Returns the process exit code: 0 when every shard
     drained cleanly after SIGTERM/SIGINT, 1 otherwise.
     """
     if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
@@ -298,24 +304,31 @@ def run_prefork(
     spawned_at: Dict[int, float] = {}
 
     def spawn(shard_id: int) -> int:
-        pid = os.fork()
-        if pid == 0:  # child: never returns
-            if anchor is not None:
-                anchor.close()  # shards bind their own REUSEPORT socket
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            signal.signal(signal.SIGINT, signal.SIG_DFL)
-            _shard_main(
-                shard_id,
-                board,
-                host=host,
-                port=port,
-                unix_sock=unix_sock,
-                drain_timeout=drain_timeout,
-                server_kwargs=server_kwargs,
-            )
-            raise AssertionError("unreachable")  # pragma: no cover
-        pids[pid] = shard_id
-        spawned_at[pid] = time.monotonic()
+        # the shard starts with the stop signals blocked and unblocks them
+        # once its drain handler is installed; the supervisor restores its
+        # mask once the pid is on record, so on_term never misses a shard
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+        try:
+            pid = os.fork()
+            if pid == 0:  # child: never returns
+                if anchor is not None:
+                    anchor.close()  # shards bind their own REUSEPORT socket
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                signal.signal(signal.SIGINT, signal.SIG_DFL)
+                _shard_main(
+                    shard_id,
+                    board,
+                    host=host,
+                    port=port,
+                    unix_sock=unix_sock,
+                    drain_timeout=drain_timeout,
+                    server_kwargs=server_kwargs,
+                )
+                raise AssertionError("unreachable")  # pragma: no cover
+            pids[pid] = shard_id
+            spawned_at[pid] = time.monotonic()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         return pid
 
     draining = False

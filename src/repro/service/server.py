@@ -32,7 +32,12 @@ Response (HTTP 200)::
 
 Malformed or invalid requests answer HTTP 400 with
 ``{"ok": false, "error": "..."}`` — the server never dies on a bad
-request.  Every ``/route`` body is handled by the **pure** module-level
+request.  Bodies are framed by ``Content-Length`` only; a request the
+server cannot frame (``Transfer-Encoding``, a bad or conflicting
+length, a head line over the reader's 64 KiB limit) is answered once
+(400, 414 or 431) and its connection closed.
+
+Every ``/route`` body is handled by the **pure** module-level
 :func:`handle_request_doc` — with ``--jobs 1`` it runs inline on the
 event-loop thread (strictly serial service), with more jobs it is
 dispatched to a ``ProcessPoolExecutor``; either way the same function
@@ -58,14 +63,9 @@ Resilience (``tests/test_service_resilience.py``, ``docs/service.md``):
   recovery path above is exercised deterministically by ordinary tests
   and the E-SOAK chaos bench.
 
-Scaling (``docs/service.md`` "Scaling", the E-SAT bench):
-
-* **Micro-batching** — with ``batch_window`` set, concurrently-queued
-  ``/route`` requests coalesce into one batch submission evaluated
-  through a shared parse cache (:mod:`repro.service.batching`);
-  responses stay bit-identical to unbatched serial execution.
-* **Prefork front** — ``repro serve --shards N`` runs N accept-loop
-  processes on one listen port (:mod:`repro.service.prefork`).
+Concurrency (``docs/service.md`` "Concurrency"): a request runs inline
+(``jobs=1``) or in the worker pool; ``repro serve --shards N`` runs N
+accept-loop processes on one listen port (:mod:`repro.service.prefork`).
 """
 
 from __future__ import annotations
@@ -79,22 +79,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Awaitable, Dict, List, Optional, Tuple, TypeVar
 
-# the pure request pipeline lives in repro.service.batching; re-exported
-# here because this is where it historically lived (and the server is
-# its natural home for readers)
-from repro.service.batching import (  # noqa: F401 — re-exports
-    DEFAULT_MAX_BATCH,
-    MicroBatcher,
-    ParsedRequest,
-    _batch_pool_worker,
-    _check_solver,
-    handle_batch_docs,
-    handle_request_doc,
-    outcome_to_doc,
-    parse_cache_stats,
-    parse_request_doc,
-    probe_request_doc,
-)
+from repro.service.batching import handle_request_doc
 from repro.service.resilience import FaultPlan, FaultSpec
 from repro.utils.validation import ReproError
 from repro.version import __version__
@@ -128,7 +113,9 @@ _REASONS = {
     405: "Method Not Allowed",
     408: "Request Timeout",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -137,6 +124,14 @@ _REASONS = {
 
 class _DropConnection(Exception):
     """Internal: a scripted ``drop`` fault — abort instead of answering."""
+
+
+class _LineTooLong(Exception):
+    """Internal: a head line over the reader's limit → ``status``, close."""
+
+    def __init__(self, status: int, what: str):
+        super().__init__(f"{what} longer than the server accepts")
+        self.status = status
 
 
 def _shutdown_socket(writer: asyncio.StreamWriter) -> None:
@@ -226,17 +221,6 @@ class RoutingServer:
         preempted mid-solve — the compute deadline needs ``jobs > 1`` to
         interrupt real work (injected delays are interruptible in both
         modes).
-    batch_window / max_batch:
-        Request micro-batching.  ``batch_window`` (seconds; ``None``
-        disables batching) is how long concurrently-queued ``/route``
-        requests coalesce before one batch submission evaluates them
-        through a shared parse cache; ``max_batch`` submits a batch
-        early once that many requests wait.  Batching changes dispatch,
-        not results — responses stay bit-identical to unbatched
-        serial execution.  Requests carrying an injected fault bypass
-        the batcher (dispatched individually) so chaos semantics are
-        unchanged; cache-memoized requests are answered by an inline
-        probe without occupying a batch slot.
     fault_plan:
         A :class:`~repro.service.resilience.FaultPlan` scripting
         worker crashes / compute delays / connection drops by route
@@ -256,8 +240,6 @@ class RoutingServer:
         header_timeout: Optional[float] = DEFAULT_HEADER_TIMEOUT,
         body_timeout: Optional[float] = DEFAULT_BODY_TIMEOUT,
         compute_timeout: Optional[float] = DEFAULT_COMPUTE_TIMEOUT,
-        batch_window: Optional[float] = None,
-        max_batch: int = DEFAULT_MAX_BATCH,
         fault_plan: Optional[FaultPlan] = None,
         verbose: bool = False,
     ):
@@ -280,16 +262,6 @@ class RoutingServer:
         ):
             if value is not None and not value > 0:
                 raise ReproError(f"{name} must be > 0 seconds or None")
-        if batch_window is not None and not batch_window >= 0:
-            raise ReproError(
-                f"batch_window must be >= 0 seconds or None, "
-                f"got {batch_window!r}"
-            )
-        if isinstance(max_batch, bool) or not isinstance(max_batch, int) \
-                or max_batch < 1:
-            raise ReproError(
-                f"max_batch must be an integer >= 1, got {max_batch!r}"
-            )
         self.jobs = jobs
         self.cache_dir = None if cache_dir is None else str(cache_dir)
         self.use_cache = bool(use_cache)
@@ -298,15 +270,10 @@ class RoutingServer:
         self.header_timeout = header_timeout
         self.body_timeout = body_timeout
         self.compute_timeout = compute_timeout
-        self.batch_window = (
-            None if batch_window is None else float(batch_window)
-        )
-        self.max_batch = max_batch
         self.fault_plan = FaultPlan() if fault_plan is None else fault_plan
         self.verbose = bool(verbose)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_gen = 0
-        self._batcher: Optional[MicroBatcher] = None
         self._sem: Optional[asyncio.Semaphore] = None
         self._waiting = 0  # route requests queued on the semaphore
         self._inflight = 0  # route requests admitted, not yet answered
@@ -324,8 +291,6 @@ class RoutingServer:
             "pool_rebuilds": 0,
             "drops": 0,
             "slow_reads": 0,
-            "batches": 0,
-            "batched": 0,
             "handler_errors": 0,
         }
 
@@ -362,8 +327,6 @@ class RoutingServer:
         deadline, False when in-flight work was abandoned.
         """
         self._draining = True
-        if self._batcher is not None:
-            self._batcher.flush()  # don't sit out a batch window mid-drain
         if server is not None:
             server.close()
             await server.wait_closed()
@@ -384,12 +347,6 @@ class RoutingServer:
             )
         if self._sem is None:
             self._sem = asyncio.Semaphore(self.max_inflight)
-        if self.batch_window is not None and self._batcher is None:
-            self._batcher = MicroBatcher(
-                self._dispatch_batch_recovering,
-                window=self.batch_window,
-                max_batch=self.max_batch,
-            )
 
     def _rebuild_pool(self, gen: int) -> None:
         """Replace a broken pool (once per breakage, however many see it)."""
@@ -438,46 +395,6 @@ class RoutingServer:
             "error": "worker pool broke twice on this request; retry later",
         }
 
-    async def _dispatch_batch(
-        self, docs: List[Any]
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        if self._pool is None:
-            return handle_batch_docs(
-                docs, cache_dir=self.cache_dir, use_cache=self.use_cache
-            )
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool, _batch_pool_worker, docs, self.cache_dir,
-            self.use_cache,
-        )
-
-    async def _dispatch_batch_recovering(
-        self, docs: List[Any]
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Dispatch a batch, rebuilding the pool and retrying once.
-
-        The whole batch rides the same two-attempt recovery contract as
-        a single request: a worker crash mid-batch rebuilds the pool and
-        re-evaluates every document (they are pure, so the retry returns
-        the same bytes).
-        """
-        self.stats["batches"] += 1
-        for _ in (0, 1):
-            gen = self._pool_gen
-            try:
-                return await self._dispatch_batch(docs)
-            except BrokenExecutor:
-                self._rebuild_pool(gen)
-        return [
-            (503, {
-                "ok": False,
-                "error": (
-                    "worker pool broke twice on this request; retry later"
-                ),
-            })
-            for _ in docs
-        ]
-
     async def _route(self, doc: Any) -> Tuple[int, Dict[str, Any]]:
         """Admission control + deadline + crash recovery around dispatch."""
         assert self._sem is not None  # _ensure_pool ran at start_*
@@ -503,27 +420,7 @@ class RoutingServer:
             if fault is not None and fault.kind == "drop":
                 self.stats["drops"] += 1
                 raise _DropConnection()
-            if self._batcher is not None and fault is None:
-                # memoized requests are answered inline, without a
-                # batch slot; the probe only runs when the request
-                # would consult the cache (cache-off requests join a
-                # batch directly, invalid ones get their 400 there)
-                if self.use_cache and (
-                    not isinstance(doc, dict) or bool(doc.get("cache", True))
-                ):
-                    probed = probe_request_doc(
-                        doc, cache_dir=self.cache_dir,
-                        use_cache=self.use_cache,
-                    )
-                    if probed is not None:
-                        return probed
-                self.stats["batched"] += 1
-                coro = self._batcher.route(doc)
-            else:
-                # faulted requests bypass the batcher so an injected
-                # crash/delay disturbs exactly one request, as in the
-                # unbatched chaos contract
-                coro = self._dispatch_recovering(doc, fault)
+            coro = self._dispatch_recovering(doc, fault)
             if self.compute_timeout is None:
                 return await coro
             try:
@@ -558,13 +455,20 @@ class RoutingServer:
         Grouping the reads lets the whole header phase run under a
         single ``wait_for`` deadline — per-line timers cost a task and
         a timer handle each, which is measurable at saturation.
+        ``readline`` raises ``ValueError`` past the reader's limit.
         """
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _LineTooLong(414, "request line") from None
         if line == b"":  # clean EOF between keep-alive requests
             raise ConnectionResetError("client closed the connection")
         headers: List[bytes] = []
         while True:
-            hline = await reader.readline()
+            try:
+                hline = await reader.readline()
+            except ValueError:
+                raise _LineTooLong(431, "header line") from None
             if hline in (b"\r\n", b"\n", b""):
                 return line, headers
             headers.append(hline)
@@ -574,17 +478,10 @@ class RoutingServer:
         return {"ok": True, "version": __version__, "jobs": self.jobs}
 
     def _stats_doc(self) -> Dict[str, Any]:
-        """The ``/stats`` body (prefork shards aggregate across peers).
-
-        The ``parse_cache_*`` counters cover this process's shared
-        :class:`~repro.io.jsonio.ParseCache`; with a worker pool
-        (``jobs > 1``) each worker keeps its own cache, so the counters
-        then reflect inline parsing only.
-        """
+        """The ``/stats`` body (prefork shards aggregate across peers)."""
         return {
             "ok": True,
             **self.stats,
-            **parse_cache_stats(),
             "inflight": self._inflight,
             "queued": self._waiting,
         }
@@ -689,30 +586,54 @@ class RoutingServer:
     async def _respond(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, Dict[str, Any], str, str, bool]:
-        """Read and answer one request → (status, body, method, path, keep)."""
-        line, hlines = await self._read_phase(
-            self._read_head(reader), self.header_timeout
-        )
+        """Read and answer one request → (status, body, method, path, keep).
+
+        Bodies are framed by ``Content-Length`` only: a request with
+        ``Transfer-Encoding``, a non-decimal length or conflicting
+        lengths is answered once and its connection closed, since the
+        next request's start can no longer be found.
+        """
+        try:
+            line, hlines = await self._read_phase(
+                self._read_head(reader), self.header_timeout
+            )
+        except _LineTooLong as exc:
+            return exc.status, {"ok": False, "error": str(exc)}, \
+                "-", "-", False
         parts = line.decode("ascii", "replace").split()
         if len(parts) < 2:
             return 400, {"ok": False, "error": "malformed request line"}, \
                 "-", "-", False
         method, path = parts[0].upper(), parts[1]
-        length = 0
+        lengths = set()
         keep = True
         for hline in hlines:
             name, _, value = hline.decode("latin-1").partition(":")
             name = name.strip().lower()
+            value = value.strip()
             if name == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
+                # ASCII digits only (int() also takes "_", "+" and
+                # non-ASCII digits); a negative length answers 413 below
+                digits = value[1:] if value.startswith("-") else value
+                if not (digits.isascii() and digits.isdigit()):
                     return 400, {
                         "ok": False,
                         "error": "bad Content-Length header",
                     }, method, path, False
+                lengths.add(int(value))
+            elif name == "transfer-encoding":
+                return 400, {
+                    "ok": False,
+                    "error": "Transfer-Encoding is not supported; "
+                    "frame the body with Content-Length",
+                }, method, path, False
             elif name == "connection":
-                keep = value.strip().lower() != "close"
+                keep = value.lower() != "close"
+        if len(lengths) > 1:
+            return 400, {
+                "ok": False, "error": "conflicting Content-Length headers",
+            }, method, path, False
+        length = lengths.pop() if lengths else 0
         if length < 0 or length > MAX_BODY_BYTES:
             return 413, {"ok": False, "error": "request body too large"}, \
                 method, path, False

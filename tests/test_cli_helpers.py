@@ -263,17 +263,3 @@ class TestCliErrorPaths:
             capsys,
             "--shards must be >= 1, got 0",
         )
-
-    def test_serve_bad_batch_window(self, capsys):
-        self._expect(
-            ["serve", "--batch-window", "-1"],
-            capsys,
-            "--batch-window must be >= 0 milliseconds, got -1.0",
-        )
-
-    def test_serve_bad_max_batch(self, capsys):
-        self._expect(
-            ["serve", "--max-batch", "0"],
-            capsys,
-            "--max-batch must be >= 1, got 0",
-        )

@@ -111,8 +111,7 @@ def _spawn_fleet(*extra):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--shards", "2", "--port", "0", "--no-cache",
-            "--batch-window", "2", *extra,
+            "--shards", "2", "--port", "0", "--no-cache", *extra,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -182,6 +181,40 @@ class TestLiveFleet:
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=30)
         assert proc.returncode == 0, out
+
+    def test_sigterm_during_startup_drains_cleanly(self):
+        # SIGTERM right after the listening line reaches shards that are
+        # still starting; each must drain rather than hang or die
+        env = dict(os.environ, PYTHONPATH="src")
+        env.pop("REPRO_FAULTS", None)
+        for attempt in range(5):
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "serve", "--port", "0",
+                    "--shards", "2", "--jobs", "1", "--no-cache",
+                ],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+                env=env,
+                start_new_session=True,
+            )
+            try:
+                line = proc.stdout.readline()
+                assert "listening" in line, line
+                proc.send_signal(signal.SIGTERM)
+                try:
+                    out, _ = proc.communicate(timeout=20)
+                except subprocess.TimeoutExpired:
+                    pytest.fail(f"run {attempt}: no exit 20 s after SIGTERM")
+                assert proc.returncode == 0, (attempt, out)
+            finally:
+                try:  # a failing run leaves no supervisor or shard behind
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+                proc.stdout.close()
 
     def test_unix_socket_fleet(self, tmp_path):
         path = str(tmp_path / "repro.sock")

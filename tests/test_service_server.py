@@ -47,6 +47,13 @@ def request_doc(problem, prev=None, **kw):
     return doc
 
 
+def canonical(body, drop=("elapsed_ms",)):
+    """A response body as canonical JSON, minus wall-clock fields."""
+    return json.dumps(
+        {k: v for k, v in body.items() if k not in drop}, sort_keys=True
+    )
+
+
 # ----------------------------------------------------------------------
 class TestHandleRequestDoc:
     def test_cold_request(self, tmp_path):
@@ -76,6 +83,17 @@ class TestHandleRequestDoc:
         assert again["cache_hit"]
         assert again["routing"] == first["routing"]
         assert again["power"] == first["power"]
+
+    def test_cache_hit_replays_the_miss(self, tmp_path):
+        problem = small_problem()
+        doc = request_doc(problem, route_incremental(problem).routing, seed=1)
+        _, first = handle_request_doc(doc, cache_dir=str(tmp_path))
+        _, again = handle_request_doc(doc, cache_dir=str(tmp_path))
+        assert again["cache_hit"] and not first["cache_hit"]
+        # a hit returns the computed body bit for bit: only the
+        # transport fields differ
+        transport = ("elapsed_ms", "cache_hit")
+        assert canonical(again, transport) == canonical(first, transport)
 
     def test_perturbed_resubmission_misses_cache(self, tmp_path):
         problem = small_problem()
@@ -222,6 +240,38 @@ class TestLiveServer:
             assert stats["cache_hits"] == 1
             assert stats["cold"] == 1 and stats["warm"] == 2
 
+    def test_concurrent_inline_and_pooled_match_serial(self):
+        problem = small_problem()
+        prev = route_incremental(problem).routing
+        docs = [
+            request_doc(problem, prev, seed=s, cache=False) for s in range(3)
+        ] + [request_doc(small_problem(seed=s), cache=False) for s in (5, 6)]
+        want = [
+            canonical(handle_request_doc(d, use_cache=False)[1]) for d in docs
+        ]
+        for jobs in (1, 2):
+            got = [None] * len(docs)
+            with _LiveServer(jobs=jobs, use_cache=False) as live:
+                client = ServiceClient(
+                    "127.0.0.1", live.port, pool_size=len(docs)
+                )
+                client.wait_ready()
+
+                def route(i):
+                    got[i] = client.route(docs[i])
+
+                threads = [
+                    threading.Thread(target=route, args=(i,))
+                    for i in range(len(docs))
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                client.close()
+            assert not any(t.is_alive() for t in threads), f"jobs={jobs}"
+            assert [canonical(b) for b in got] == want, f"jobs={jobs}"
+
     def test_unix_socket_end_to_end(self, tmp_path):
         sock = str(tmp_path / "svc.sock")
         with _LiveServer(
@@ -250,11 +300,13 @@ class TestLiveServer:
             RoutingServer(jobs=0)
 
 
-def _raw_exchange(port, payload: bytes, count: int = 1):
+def _raw_exchange(port, payload: bytes, count=1):
     """Send raw bytes, parse ``count`` HTTP responses off the socket.
 
     Returns a list of ``(status, headers, body)`` triples — the
     low-level view the stdlib client hides, for protocol edge tests.
+    ``count=None`` reads responses until the server closes the
+    connection.
     """
     import socket as socket_mod
 
@@ -262,8 +314,11 @@ def _raw_exchange(port, payload: bytes, count: int = 1):
     with socket_mod.create_connection(("127.0.0.1", port), timeout=10) as s:
         s.sendall(payload)
         rfile = s.makefile("rb")
-        for _ in range(count):
-            status = int(rfile.readline().split()[1])
+        while count is None or len(out) < count:
+            line = rfile.readline()
+            if count is None and line == b"":
+                break
+            status = int(line.split()[1])
             headers = {}
             while True:
                 line = rfile.readline()
@@ -274,6 +329,15 @@ def _raw_exchange(port, payload: bytes, count: int = 1):
             body = rfile.read(int(headers.get("content-length", 0)))
             out.append((status, headers, json.loads(body)))
     return out
+
+
+def _healthz_ok(port) -> bool:
+    """The server still answers ``/healthz`` on a fresh connection."""
+    client = ServiceClient("127.0.0.1", port)
+    try:
+        return client.health()["ok"]
+    finally:
+        client.close()
 
 
 class TestProtocolEdges:
@@ -303,15 +367,68 @@ class TestProtocolEdges:
             [(status, _, _)] = _raw_exchange(live.port, req)
             assert status == 413
 
-    def test_bad_content_length_answers_400(self, tmp_path):
+    # int() reads "0_8" and "+8" as 8: only ASCII digits may frame a body
+    @pytest.mark.parametrize("value", ["abc", "0_8", "+8", "\u0668"])
+    def test_bad_content_length_answers_400(self, value, tmp_path):
         with _LiveServer(cache_dir=str(tmp_path)) as live:
             req = (
                 "POST /route HTTP/1.1\r\nHost: x\r\n"
-                "Content-Length: abc\r\nConnection: close\r\n\r\n"
+                f"Content-Length: {value}\r\nConnection: close\r\n\r\n"
+                '{"x": 1}'
             ).encode()
             [(status, _, body)] = _raw_exchange(live.port, req)
             assert status == 400
             assert "Content-Length" in body["error"]
+            assert _healthz_ok(live.port)
+
+    def _answered_once_then_closed(self, port, req, status, needle):
+        """Exactly one response, then the server closes the connection."""
+        [(got, headers, body)] = _raw_exchange(port, req, count=None)
+        assert got == status, body
+        assert needle in body["error"]
+        assert headers["connection"] == "close"
+        assert _healthz_ok(port)
+
+    def test_conflicting_content_lengths_answer_400(self, tmp_path):
+        with _LiveServer(cache_dir=str(tmp_path)) as live:
+            req = (
+                "POST /route HTTP/1.1\r\nHost: x\r\n"
+                "Content-Length: 2\r\nContent-Length: 8\r\n\r\n"
+                '{"x": 1}'
+            ).encode()
+            self._answered_once_then_closed(
+                live.port, req, 400, "conflicting Content-Length"
+            )
+
+    def test_chunked_body_answers_one_400(self, tmp_path):
+        with _LiveServer(cache_dir=str(tmp_path)) as live:
+            req = (
+                "POST /route HTTP/1.1\r\nHost: x\r\n"
+                "Transfer-Encoding: chunked\r\n\r\n"
+                "2\r\n{}\r\n0\r\n\r\n"
+            ).encode()
+            self._answered_once_then_closed(
+                live.port, req, 400, "Transfer-Encoding"
+            )
+
+    def test_overlong_request_line_answers_414(self, tmp_path):
+        with _LiveServer(cache_dir=str(tmp_path)) as live:
+            req = (
+                f"GET /{'a' * 70_000} HTTP/1.1\r\nHost: x\r\n\r\n"
+            ).encode()
+            self._answered_once_then_closed(
+                live.port, req, 414, "request line"
+            )
+
+    def test_overlong_header_line_answers_431(self, tmp_path):
+        with _LiveServer(cache_dir=str(tmp_path)) as live:
+            req = (
+                "GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                f"X-Filler: {'a' * 70_000}\r\n\r\n"
+            ).encode()
+            self._answered_once_then_closed(
+                live.port, req, 431, "header line"
+            )
 
     def test_keep_alive_serves_requests_back_to_back(self, tmp_path):
         with _LiveServer(cache_dir=str(tmp_path)) as live:
