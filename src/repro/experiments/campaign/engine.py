@@ -5,11 +5,13 @@ run/check`` and the benchmark suite:
 
 1. resolve the experiment's shards and probe the artifact store — valid
    cached shards are *loaded*, everything else is *computed*;
-2. run the missing shards, serially (``jobs=1``) or on a process pool
-   (``jobs>1``, same worker-count semantics as
-   :class:`~repro.experiments.runner.ParallelSweepRunner`), persisting
-   each shard **as it completes** — an interrupt loses at most the
-   in-flight shards and a re-run resumes from the store;
+2. run the missing shards, serially (``jobs=1``) or on one process pool
+   from :func:`~repro.utils.pool.worker_pool` (``jobs>1``, same
+   worker-count semantics as
+   :class:`~repro.experiments.runner.ParallelSweepRunner`, at most one
+   worker per missing shard), persisting each shard **as it completes**
+   — an interrupt loses at most the in-flight shards, cancels the queued
+   ones, and a re-run resumes from the store;
 3. fold all shard records *in shard order* through the experiment's
    ``finalize`` and render the artifact text.
 
@@ -29,6 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.experiments.campaign.spec import Experiment, Shard
 from repro.experiments.campaign.store import ArtifactStore, normalize
+from repro.utils.pool import worker_pool
 from repro.utils.validation import ReproError
 
 #: default location of the committed artifacts, relative to the cwd
@@ -97,38 +100,33 @@ def _compute_missing(
     # pool.map would buffer finished results behind a slow head shard,
     # and an interrupt would then lose work that had actually completed.
     # (The fold in run_experiment stays in spec shard order either way,
-    # so completion-order persistence cannot change any aggregate.)
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    # so completion-order persistence cannot change any aggregate.)  A
+    # persist failure or an interrupt aborts the drain, and the pool's
+    # exit then cancels the queued shards instead of burning minutes of
+    # Monte-Carlo work whose results nobody would persist.
+    from concurrent.futures import as_completed
 
-    workers = min(jobs, len(missing))
     first_error: Optional[BaseException] = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with worker_pool(jobs, len(missing)) as pool:
         futures = {
             pool.submit(_call_shard, (s.func, s.payload)): s for s in missing
         }
-        try:
-            for future in as_completed(futures):
-                shard = futures[future]
-                try:
-                    records = future.result()
-                except Exception as exc:
-                    # keep draining: sibling shards that DID complete must
-                    # still be persisted, or a re-run would recompute them
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                if use_cache:
-                    out[shard.key] = store.save_shard(
-                        experiment, shard.key, records
-                    )
-                else:
-                    out[shard.key] = normalize(records)
-        except BaseException:
-            # a persist failure (or interrupt) aborts the drain: cancel
-            # queued shards so pool shutdown doesn't burn minutes of
-            # Monte-Carlo work whose results nobody would persist
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
+        for future in as_completed(futures):
+            shard = futures[future]
+            try:
+                records = future.result()
+            except Exception as exc:
+                # keep draining: sibling shards that DID complete must
+                # still be persisted, or a re-run would recompute them
+                if first_error is None:
+                    first_error = exc
+                continue
+            if use_cache:
+                out[shard.key] = store.save_shard(
+                    experiment, shard.key, records
+                )
+            else:
+                out[shard.key] = normalize(records)
     if first_error is not None:
         raise first_error
     return out

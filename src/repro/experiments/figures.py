@@ -192,10 +192,9 @@ def summary_statistics(
 
         runner = ParallelSweepRunner(jobs=jobs)  # validates/resolves jobs
         names_t = tuple(heuristic_names)
-        records = map_trial_chunks(
+        (records,) = map_trial_chunks(
             _summary_chunk,
-            lambda lo, hi: (seed, lo, hi, names_t),
-            trials,
+            [(lambda lo, hi: (seed, lo, hi, names_t), trials)],
             runner.jobs,
         )
 

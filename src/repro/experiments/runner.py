@@ -20,14 +20,19 @@ Execution engines
 The **serial** path (``jobs=1``, the default and the reference) runs the
 trials in-process.  The **parallel** path
 (:class:`ParallelSweepRunner`, or ``jobs > 1`` on :func:`run_point` /
-:func:`run_sweep`) fans contiguous trial chunks out to a
-``ProcessPoolExecutor``.  Both paths produce one
+:func:`run_sweep`) cuts every sweep point into contiguous trial chunks
+and sends the chunks of *all* points to one process pool per call
+(:func:`map_trial_chunks`): every chunk is in flight at once, so the
+slow chunks of one point overlap the next points' work instead of
+holding a barrier at the end of each point.  Each point is folded as
+soon as its last chunk is back and its records are dropped, so memory
+stays bounded by the points in flight.  Both paths produce one
 :class:`TrialRecord` per trial — the i-th trial's RNG is a pure function
 of ``(seed, i)`` through :func:`repro.utils.rng.spawn_rngs`, regardless of
-which worker runs it — and feed the records *in trial order* through the
-same :func:`aggregate_records` fold, so serial and parallel sweeps are
-bit-identical on every statistic except the (inherently wall-clock)
-``mean_runtime_s``.
+which worker runs it — and feed each point's records *in trial order*
+through the same :func:`aggregate_records` fold, so serial and parallel
+sweeps are bit-identical on every statistic except the (inherently
+wall-clock) ``mean_runtime_s``.
 
 Parallel execution requires the workload factory (and the mesh/power
 objects) to be picklable; the factories in
@@ -38,9 +43,9 @@ reason.  Lambdas/closures still work on the serial path.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +57,7 @@ from repro.heuristics.base import HeuristicResult, get_heuristic
 from repro.heuristics.best import best_of_results
 from repro.mesh.topology import Mesh
 from repro.core.power import PowerModel
+from repro.utils.pool import worker_pool
 from repro.utils.rng import spawn_rngs, spawn_rngs_range
 from repro.utils.validation import InvalidParameterError
 
@@ -346,23 +352,38 @@ def _chunk_bounds(trials: int, jobs: int) -> List[Tuple[int, int]]:
     return [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
 
-def map_trial_chunks(worker, make_payload, trials: int, jobs: int) -> List:
-    """Fan trial chunks out to a process pool, results in trial order.
+def _point_payload(mesh, power, workload, seed: int, names: Tuple[str, ...]):
+    """The ``make_payload`` of one sweep point for :func:`_run_trial_chunk`."""
+    return lambda lo, hi: (mesh, power, workload, seed, lo, hi, names)
 
-    The single chunking/ordering implementation behind every parallel
-    entry point (sweep points, the §6.4 summary): ``worker`` is a
-    picklable module-level callable, ``make_payload(lo, hi)`` builds its
-    argument for trials ``lo .. hi-1``, and each worker returns one record
-    per trial.  ``pool.map`` preserves submission order — which is trial
-    order — so folding the concatenated records reproduces the serial
-    reference bit for bit.
+
+def map_trial_chunks(worker, groups, jobs: int) -> Iterator[List]:
+    """Run groups of trial chunks on one process pool, yielding per group.
+
+    The single scheduler behind every parallel Monte-Carlo entry point
+    (sweep points, the §6.4 summary).  ``groups`` holds one
+    ``(make_payload, trials)`` pair per point: ``worker`` is a picklable
+    module-level callable, ``make_payload(lo, hi)`` builds its argument
+    for trials ``lo .. hi-1``, and each worker call returns one record
+    per trial.  The chunks of every group go to one pool up front and
+    their results are read in submission order — group order, then
+    trial order — so each yielded group's records, folded as they are,
+    reproduce the serial reference bit for bit.  Reading in that order
+    also makes a failing chunk raise the worker's own exception, the
+    earliest in (group, trial) order, and cancels the chunks still
+    queued.  A group is yielded as soon as its last chunk is back; the
+    pool lives until the generator is exhausted or closed.
     """
-    bounds = _chunk_bounds(trials, jobs)
-    records: List = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(worker, [make_payload(lo, hi) for lo, hi in bounds]):
-            records.extend(chunk)
-    return records
+    sizes: List[int] = []
+    payloads: List = []
+    for make_payload, trials in groups:
+        bounds = _chunk_bounds(trials, jobs)
+        sizes.append(len(bounds))
+        payloads.extend(make_payload(lo, hi) for lo, hi in bounds)
+    with worker_pool(jobs, len(payloads)) as pool:
+        chunks = pool.map(worker, payloads)
+        for size in sizes:
+            yield [record for chunk in islice(chunks, size) for record in chunk]
 
 
 def default_jobs() -> int:
@@ -421,45 +442,62 @@ class ParallelSweepRunner:
         """Parallel equivalent of :func:`run_point`."""
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        names = _expand_names(heuristic_names)
-        member_names = tuple(names[:-1])
-        if self.jobs == 1:
-            warm_platform_caches(mesh, power)
-            rngs = spawn_rngs(seed, trials)
-            records = _run_trials(mesh, power, workload, rngs, member_names)
-            return aggregate_records(records, names, x)
-        records: List[TrialRecord] = map_trial_chunks(
-            _run_trial_chunk,
-            lambda lo, hi: (mesh, power, workload, seed, lo, hi, member_names),
-            trials,
-            self.jobs,
+        (point,) = self._run_points(
+            mesh, power, heuristic_names, [(workload, trials, seed, x)]
         )
-        return aggregate_records(records, names, x)
+        return point
 
     def run_sweep(self, config: SweepConfig) -> SweepResult:
         """Parallel equivalent of :func:`run_sweep`."""
-        mesh = config.mesh()
-        power = config.power_factory()
-        points = []
-        for k, point in enumerate(config.points):
-            points.append(
-                self.run_point(
-                    mesh,
-                    power,
-                    point.workload,
-                    trials=config.trials,
-                    # decorrelate points while keeping the sweep reproducible
-                    seed=config.seed * 1_000_003 + k,
-                    heuristic_names=config.heuristics,
-                    x=point.x,
-                )
-            )
+        points = self._run_points(
+            config.mesh(),
+            config.power_factory(),
+            config.heuristics,
+            [
+                # decorrelate points while keeping the sweep reproducible
+                (point.workload, config.trials, config.seed * 1_000_003 + k,
+                 point.x)
+                for k, point in enumerate(config.points)
+            ],
+        )
         return SweepResult(
             name=config.name,
             x_label=config.x_label,
             heuristics=tuple(config.heuristics),
             points=tuple(points),
         )
+
+    def _run_points(
+        self,
+        mesh: Mesh,
+        power: PowerModel,
+        heuristic_names: Sequence[str],
+        points: Sequence[Tuple[WorkloadFactory, int, int, float]],
+    ) -> List[PointResult]:
+        """Run ``(workload, trials, seed, x)`` points, all on one pool."""
+        names = _expand_names(heuristic_names)
+        members = tuple(names[:-1])
+        if self.jobs == 1:
+            warm_platform_caches(mesh, power)
+            return [
+                aggregate_records(
+                    _run_trials(
+                        mesh, power, workload, spawn_rngs(seed, trials), members
+                    ),
+                    names,
+                    x,
+                )
+                for workload, trials, seed, x in points
+            ]
+        groups = [
+            (_point_payload(mesh, power, workload, seed, members), trials)
+            for workload, trials, seed, _ in points
+        ]
+        chunked = map_trial_chunks(_run_trial_chunk, groups, self.jobs)
+        return [
+            aggregate_records(records, names, x)
+            for records, (_, _, _, x) in zip(chunked, points)
+        ]
 
 
 # ----------------------------------------------------------------------

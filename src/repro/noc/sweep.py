@@ -21,15 +21,15 @@ Each point runs on the array flit engine
 (:class:`~repro.noc.engine.ArrayFlitSimulator`, ``engine="array"``, the
 default) or the reference simulator (``engine="reference"``) — the two
 are cycle-exact, so the choice never changes a curve, only its cost.
-``jobs > 1`` fans the points of one sweep out to a process pool, one
-task per offered-load fraction; every point's simulator is seeded
-identically either way, so serial and parallel sweeps are bit-identical
-point for point.
+``jobs > 1`` fans the points of one sweep out to one process pool from
+:func:`~repro.utils.pool.worker_pool`, one task per offered-load
+fraction and at most one worker per fraction; every point's simulator
+is seeded identically either way, so serial and parallel sweeps are
+bit-identical point for point.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -44,6 +44,7 @@ from repro.noc.simulator import (
     SimulationReport,
     build_flow_table,
 )
+from repro.utils.pool import worker_pool
 from repro.utils.rng import RngLike
 from repro.utils.validation import InvalidParameterError
 
@@ -255,7 +256,7 @@ def latency_sweep(
             for frac in fractions
         ]
     tasks = [(routing, frac, kwargs) for frac in fractions]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(fractions))) as pool:
+    with worker_pool(jobs, len(tasks)) as pool:
         return list(pool.map(_sweep_point_task, tasks))
 
 

@@ -9,11 +9,13 @@ pytest imports the test files themselves.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, List, Tuple
 
 from repro.experiments.campaign import Experiment, Shard
 from repro.experiments.campaign.spec import chunk_bounds
+from repro.utils.validation import ReproError
 
 
 def counter_shard(payload: Tuple) -> List[float]:
@@ -47,3 +49,33 @@ class CounterExperiment(Experiment):
 
 def make_counter(**kw) -> CounterExperiment:
     return CounterExperiment(name="counter", title="test counter", **kw)
+
+
+class ShardFault(ReproError):
+    """Raised by :func:`flaky_shard` while its trigger file exists."""
+
+
+def flaky_shard(payload: Tuple) -> List[float]:
+    lo, hi, trigger = payload
+    if trigger and os.path.exists(trigger):
+        raise ShardFault(f"shard {lo}-{hi} failed")
+    return counter_shard((lo, hi))
+
+
+@dataclass(frozen=True)
+class FlakyCounterExperiment(CounterExperiment):
+    """:class:`CounterExperiment` whose shard ``fail_shard`` raises while
+    the file ``trigger`` exists — deleting the file removes the fault
+    without changing the spec, so a re-run resumes in the same slot."""
+
+    trigger: str = ""
+    fail_shard: int = 1
+
+    def shards(self):
+        out = []
+        for i, shard in enumerate(super().shards()):
+            trigger = self.trigger if i == self.fail_shard else ""
+            out.append(
+                Shard(shard.key, flaky_shard, (*shard.payload, trigger))
+            )
+        return tuple(out)

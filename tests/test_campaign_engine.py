@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import pathlib
 
 import pytest
@@ -17,7 +18,12 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.campaign.sweeps import SweepExperiment
 from repro.utils.validation import ReproError
-from tests.campaign_testlib import CounterExperiment, make_counter
+from tests.campaign_testlib import (
+    CounterExperiment,
+    FlakyCounterExperiment,
+    ShardFault,
+    make_counter,
+)
 
 _exp = make_counter
 
@@ -99,6 +105,32 @@ class TestCacheLifecycle:
             _exp(), store=ArtifactStore(tmp_path / "other"), use_cache=False
         )
         assert resumed.payload == fresh.payload
+
+
+class TestPooledShardFailure:
+    def test_failed_shard_drains_siblings_and_resumes(self, tmp_path):
+        trigger = tmp_path / "fault"
+        trigger.touch()
+        exp = FlakyCounterExperiment(
+            name="flaky", title="t", trials=8, trigger=str(trigger)
+        )
+        keys = [s.key for s in exp.shards()]
+        assert len(keys) == 4
+        store = ArtifactStore(tmp_path / "store")
+        with pytest.raises(ShardFault, match="shard 2-4 failed"):
+            run_experiment(exp, jobs=2, store=store)
+        assert multiprocessing.active_children() == []
+        # the three siblings were persisted although shard 1 failed
+        stored = [store.load_shard(exp, key) is not None for key in keys]
+        assert stored == [True, False, True, True]
+        trigger.unlink()
+        resumed = run_experiment(exp, jobs=2, store=store)
+        assert (resumed.shards_cached, resumed.shards_computed) == (3, 1)
+        fresh = run_experiment(
+            exp, store=ArtifactStore(tmp_path / "fresh"), use_cache=False
+        )
+        assert resumed.payload == fresh.payload
+        assert multiprocessing.active_children() == []
 
 
 class TestBitIdentity:

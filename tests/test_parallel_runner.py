@@ -6,10 +6,16 @@ except ``mean_runtime_s`` (wall-clock is never deterministic, under either
 engine).
 """
 
+import multiprocessing
+import pathlib
+import uuid
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from repro import Mesh, PowerModel
+from repro import Communication, Mesh, PowerModel, RoutingProblem
 from repro.experiments import (
     ParallelSweepRunner,
     SweepConfig,
@@ -20,15 +26,20 @@ from repro.experiments import (
     run_point,
     run_sweep,
     run_trial,
+    summary_statistics,
 )
+from repro.experiments.campaign import ArtifactStore, run_experiment
 from repro.experiments.runner import (
     BEST_KEY,
     _chunk_bounds,
     _draw_trial_problem,
 )
 from repro.heuristics import available_heuristics, get_heuristic
+from repro.noc.sweep import latency_sweep
+from repro.utils import pool as pool_module
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import InvalidParameterError
+from tests.campaign_testlib import make_counter
 
 #: every HeuristicPointStats field that must match exactly between engines
 _DETERMINISTIC_FIELDS = (
@@ -242,3 +253,155 @@ class TestPlumbing:
         assert code == 0
         out = capsys.readouterr().out
         assert "norm_power_inverse" in out
+
+
+# ----------------------------------------------------------------------
+# the pool contract: one pool per call, sized to its work, always joined
+# ----------------------------------------------------------------------
+class ChunkFault(RuntimeError):
+    """Raised by :class:`MarkedFactory` inside a pool worker."""
+
+
+@dataclass(frozen=True)
+class MarkedFactory:
+    """A picklable workload that leaves one marker file per draw.
+
+    With ``fault`` set, the draw raises :class:`ChunkFault` after marking,
+    so the markers count every trial that started, failed or not.
+    """
+
+    marker_dir: str
+    n: int
+    fault: str = ""
+
+    def __call__(self, mesh, rng):
+        pathlib.Path(self.marker_dir, uuid.uuid4().hex).touch()
+        if self.fault:
+            raise ChunkFault(self.fault)
+        return UniformRandomFactory(self.n, 100.0, 900.0)(mesh, rng)
+
+
+def _small_sweep(points: int = 3, trials: int = 2) -> SweepConfig:
+    return SweepConfig(
+        name="pool-check",
+        x_label="n",
+        points=tuple(
+            SweepPoint(
+                x=float(n), workload=UniformRandomFactory(n, 100.0, 900.0)
+            )
+            for n in range(4, 4 + 2 * points, 2)
+        ),
+        trials=trials,
+        seed=5,
+        heuristics=("XY", "SG"),
+    )
+
+
+@pytest.fixture(scope="module")
+def tiny_routing():
+    problem = RoutingProblem(
+        Mesh(4, 4),
+        PowerModel.kim_horowitz(),
+        [
+            Communication((0, 0), (3, 3), 800.0),
+            Communication((3, 0), (0, 3), 600.0),
+        ],
+    )
+    return get_heuristic("PR").solve(problem).routing
+
+
+def _pooled_calls(jobs, tmp_path, routing, point_args):
+    """One thunk per pooled Monte-Carlo entry point, each using ``jobs``."""
+    mesh, power, workload = point_args
+    store = ArtifactStore(tmp_path)
+    return [
+        lambda: run_sweep(_small_sweep(points=2, trials=1), jobs=jobs),
+        lambda: run_point(mesh, power, workload, 1, 7, ("XY",), jobs=jobs),
+        lambda: summary_statistics(trials=2, seed=3, jobs=jobs),
+        lambda: latency_sweep(
+            routing, [0.4, 0.9], cycles=300, warmup=60, jobs=jobs
+        ),
+        lambda: run_experiment(
+            make_counter(), jobs=jobs, store=store, use_cache=False
+        ),
+    ]
+
+
+@pytest.fixture
+def pools_made(monkeypatch):
+    """``max_workers`` of every pool the pool helper constructs."""
+    made = []
+
+    class SpyExecutor(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", SpyExecutor)
+    return made
+
+
+class TestOnePoolPerCall:
+    def test_sweep_opens_one_pool_for_all_points(self, pools_made):
+        result = run_sweep(_small_sweep(points=3), jobs=2)
+        assert len(result.points) == 3
+        assert pools_made == [2]
+
+    def test_pool_never_exceeds_its_tasks(
+        self, pools_made, tmp_path, tiny_routing, point_args
+    ):
+        # two one-trial points, one chunk, two summary trials, two
+        # fractions, three shards: jobs=8 forks no idle worker for any
+        for call in _pooled_calls(8, tmp_path, tiny_routing, point_args):
+            call()
+        assert pools_made == [2, 1, 2, 2, 3]
+
+    def test_serial_paths_open_no_pool(
+        self, pools_made, tmp_path, tiny_routing, point_args
+    ):
+        for call in _pooled_calls(1, tmp_path, tiny_routing, point_args):
+            call()
+        assert pools_made == []
+
+
+class TestPoolLifetime:
+    def test_no_process_outlives_a_pooled_call(
+        self, tmp_path, tiny_routing, point_args
+    ):
+        for call in _pooled_calls(2, tmp_path, tiny_routing, point_args):
+            call()
+            assert multiprocessing.active_children() == []
+
+    def test_failing_chunk_raises_its_own_error_and_cancels_the_rest(
+        self, tmp_path
+    ):
+        """Points 1 and 3 raise: point 1's error is the one that surfaces,
+        the chunks queued behind it are cancelled, no worker is left."""
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        mark = str(markers)
+        workloads = (
+            MarkedFactory(mark, 4),
+            MarkedFactory(mark, 4, fault="point 1"),
+            MarkedFactory(mark, 40),
+            MarkedFactory(mark, 4, fault="point 3"),
+            *[MarkedFactory(mark, 40)] * 4,
+        )
+        cfg = SweepConfig(
+            name="fault-check",
+            x_label="k",
+            points=tuple(
+                SweepPoint(x=float(k), workload=w)
+                for k, w in enumerate(workloads)
+            ),
+            trials=4,
+            seed=2,
+            heuristics=("XY", "SG", "PR"),
+        )
+        submitted = len(workloads) * len(_chunk_bounds(4, 2))
+        assert submitted == 32  # one-trial chunks: one marker per chunk
+        with pytest.raises(ChunkFault, match="^point 1$"):
+            run_sweep(cfg, jobs=2)
+        started = len(list(markers.iterdir()))
+        assert 5 <= started < submitted, started
+        assert multiprocessing.active_children() == []

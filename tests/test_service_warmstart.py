@@ -12,13 +12,17 @@ The tentpole contract under test:
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import Communication, Mesh, PowerModel, RoutingProblem
 from repro.core.routing import Routing
-from repro.io.jsonio import routing_to_dict
+from repro.io.jsonio import problem_to_dict, routing_to_dict
 from repro.mesh.paths import Path
+from repro.scenarios import ChurnSpec, churn_trace
 from repro.scenarios.spec import MeshSpec, duplex
+from repro.service import handle_request_doc
 from repro.service.warmstart import (
     DEFAULT_POLISH,
     POLISH_MODES,
@@ -276,3 +280,47 @@ class TestValidation:
 
     def test_default_polish_is_registered(self):
         assert DEFAULT_POLISH in POLISH_MODES
+
+
+class TestChurnQuality:
+    """E-CHURN's quality gates, without its timing.
+
+    Along the benchmark's churn trace, each step is solved cold and
+    warm-started from the previous step's warm answer (the chain a
+    resubmitting client replays)."""
+
+    def test_warm_chain_no_worse_than_cold_and_resubmission_hits(
+        self, tmp_path
+    ):
+        steps = churn_trace(
+            ChurnSpec(
+                scenario="paper-baseline",
+                requests=24,
+                seed=7,
+                fault_prob=0.15,
+                rate_scale=0.5,
+            )
+        )
+        chain = route_incremental(steps[0].problem)
+        first_prev = chain.routing
+        cold_total = warm_total = 0.0
+        for step in steps[1:]:
+            cold_total += route_incremental(step.problem).power
+            chain = route_incremental(step.problem, chain.routing)
+            warm_total += chain.power
+        assert math.isfinite(cold_total) and math.isfinite(warm_total)
+        assert warm_total <= cold_total * (1.0 + 1e-9), (
+            warm_total,
+            cold_total,
+        )
+
+        doc = {
+            "problem": problem_to_dict(steps[1].problem),
+            "prev": routing_to_dict(first_prev),
+        }
+        s1, first = handle_request_doc(doc, cache_dir=str(tmp_path))
+        s2, again = handle_request_doc(doc, cache_dir=str(tmp_path))
+        assert (s1, s2) == (200, 200)
+        assert not first["cache_hit"]
+        assert again["cache_hit"]
+        assert again["routing"] == first["routing"]
