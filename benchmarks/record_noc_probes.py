@@ -14,12 +14,13 @@ produces on a matrix of instances: pristine / faulty / derated / narrow
 meshes, all three injection models, shallow and deep buffers, single-VC
 and direction-class VC assignments, single-path and multipath routings.
 
-The fixture was recorded from the **reference** ``FlitSimulator`` before
-the array engine (:mod:`repro.noc.engine`) landed, so it is the
-refactor-safety contract for both engines: ``tests/test_noc_engine.py``
-asserts that the reference *and* the array engine reproduce every record
-bit for bit.  Regenerate only when a PR deliberately changes simulator
-behaviour, and say so in the PR description.
+The fixture was recorded from the **reference** ``FlitSimulator`` (the
+test oracle, ``tests/noc_reference.py``) before the array engine
+(:mod:`repro.noc.engine`) landed, and regeneration still records from
+the oracle.  ``--check`` runs the matrix on the oracle *and* on
+``ArrayFlitSimulator`` at the ambient ``REPRO_NATIVE`` tier, and names
+the engine that drifted.  Regenerate only when a PR deliberately changes
+simulator behaviour, and say so in the PR description.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the oracle: tests.noc_reference
 
 import numpy as np  # noqa: E402
 
@@ -38,11 +40,15 @@ from repro import Communication, Mesh, PowerModel, Routing, RoutingProblem  # no
 from repro.core.routing import RoutedFlow  # noqa: E402
 from repro.heuristics import get_heuristic  # noqa: E402
 from repro.mesh.paths import Path  # noqa: E402
-from repro.noc import DeadlockError, FlitSimulator, single_vc  # noqa: E402
+from repro.native import active_tier  # noqa: E402
+from repro.noc import ArrayFlitSimulator, DeadlockError, single_vc  # noqa: E402
 from repro.scenarios import get_scenario  # noqa: E402
 from repro.workloads import uniform_random_workload  # noqa: E402
+from tests.noc_reference import FlitSimulator  # noqa: E402
 
 FIXTURE = REPO_ROOT / "tests" / "probes" / "noc_probes.json"
+#: what ``--check`` holds to the fixture (the oracle first)
+ENGINES = {"reference": FlitSimulator, "array": ArrayFlitSimulator}
 
 
 def report_to_jsonable(report) -> dict:
@@ -215,11 +221,13 @@ def probe_cases() -> dict:
     }
 
 
-def snapshot() -> dict:
-    return {
-        name: run_to_jsonable(FlitSimulator, case)
+def snapshot(sim_cls=FlitSimulator) -> str:
+    """The fixture text ``sim_cls`` produces on the probe matrix."""
+    snap = {
+        name: run_to_jsonable(sim_cls, case)
         for name, case in probe_cases().items()
     }
+    return json.dumps(snap, indent=1, sort_keys=True) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -230,23 +238,25 @@ def main(argv: list[str] | None = None) -> int:
         help="verify the committed fixture instead of rewriting it",
     )
     args = parser.parse_args(argv)
-    text = json.dumps(snapshot(), indent=1, sort_keys=True) + "\n"
     if args.check:
         if not FIXTURE.exists():
             print(f"DRIFT   fixture {FIXTURE} missing", file=sys.stderr)
             return 1
-        if FIXTURE.read_text() != text:
+        want = FIXTURE.read_text()
+        drifted = [n for n, cls in ENGINES.items() if snapshot(cls) != want]
+        if drifted:
             print(
-                "DRIFT   NoC simulator probes drifted — if intentional, "
+                f"DRIFT   NoC probes drifted on the {' and '.join(drifted)} "
+                f"engine ({active_tier()} tier) — if intentional, "
                 "regenerate with 'python benchmarks/record_noc_probes.py' "
                 "and call the behaviour change out in the PR description",
                 file=sys.stderr,
             )
             return 1
-        print("ok      noc_probes.json")
+        print(f"ok      noc_probes.json (reference, array on {active_tier()})")
         return 0
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(text)
+    FIXTURE.write_text(snapshot())
     print(f"wrote   {FIXTURE.relative_to(REPO_ROOT)}")
     return 0
 

@@ -20,8 +20,8 @@ import numpy as np
 from repro import Communication, Mesh, PowerModel, Routing, RoutingProblem
 from repro.heuristics import get_heuristic
 from repro.noc import (
+    ArrayFlitSimulator,
     DeadlockError,
-    FlitSimulator,
     direction_class_vc,
     is_deadlock_free,
     single_vc,
@@ -45,7 +45,9 @@ def predicted_vs_measured() -> None:
         f"{is_deadlock_free(routing, direction_class_vc)}"
     )
 
-    sim = FlitSimulator(routing, num_vcs=4, buffer_flits=4, packet_flits=8)
+    sim = ArrayFlitSimulator(
+        routing, num_vcs=4, buffer_flits=4, packet_flits=8
+    )
     rep = sim.run(30000, warmup=3000)
 
     loads = routing.link_loads()
@@ -84,16 +86,16 @@ def deadlock_demo() -> None:
         f"{is_deadlock_free(ring, direction_class_vc)}"
     )
     try:
-        FlitSimulator(
+        ArrayFlitSimulator(
             ring, num_vcs=1, vc_of=single_vc, buffer_flits=1, packet_flits=32,
             deadlock_window=500,
         ).run(40000)
         print("single VC: survived (scheduling got lucky)")
     except DeadlockError:
         print("single VC: hard wormhole deadlock, as the cyclic CDG predicts")
-    rep = FlitSimulator(ring, num_vcs=4, buffer_flits=1, packet_flits=32).run(
-        40000, warmup=2000
-    )
+    rep = ArrayFlitSimulator(
+        ring, num_vcs=4, buffer_flits=1, packet_flits=32
+    ).run(40000, warmup=2000)
     ach = [round(f.achieved_fraction, 2) for f in rep.flows]
     print(f"direction-class VCs: no deadlock, throughput {ach}")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import Mesh, PowerModel, RoutingProblem
 from repro.heuristics import PAPER_HEURISTICS, get_heuristic
-from repro.noc import FlitSimulator
+from repro.noc import ArrayFlitSimulator
 from repro.utils.tables import format_table
 from repro.workloads import (
     annealed_placement,
@@ -88,7 +88,7 @@ def main(scale: float = 3.0) -> None:
     print(f"\nDeploying the {best.name} routing on the flit simulator...")
 
     # --- validate -------------------------------------------------------
-    sim = FlitSimulator(best.routing, injection="bernoulli", seed=1)
+    sim = ArrayFlitSimulator(best.routing, injection="bernoulli", seed=1)
     report = sim.run(12000, warmup=2400)
     ach = [
         f.achieved_fraction for f in report.flows if f.injected_flits > 0

@@ -15,7 +15,7 @@ Commands
 ``theory``     print the Theorem 1 / Lemma 2 separation tables
 ``simulate``   run a saved routing on the flit-level NoC simulator
 ``noc sweep``  load–latency curve of a saved routing or a registry
-               scenario on the array flit engine (``--jobs``/``--engine``)
+               scenario on the array flit engine (``--jobs``)
 
 Every command is a thin shell over the library API; ``main(argv)`` returns
 a process exit code so the CLI is unit-testable.  User errors (unknown
@@ -37,7 +37,6 @@ from repro.cli.commands import (
     cmd_apps,
     cmd_figures,
     cmd_generate,
-    cmd_latency,
     cmd_noc_sweep,
     cmd_open_problem,
     cmd_route,
@@ -281,28 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes, one sweep point each (default: serial)",
     )
     n_sweep.add_argument(
-        "--engine", choices=("array", "reference"), default="array",
-        help="flit engine (the cycle-exact 'reference' oracle is slower)",
-    )
-    n_sweep.add_argument(
         "--json", default=None,
         help="also save the exact (hex-float) latency curve to this path",
     )
     n_sweep.set_defaults(func=cmd_noc_sweep)
-
-    l = sub.add_parser(
-        "latency", help="load-latency sweep of a saved routing"
-    )
-    l.add_argument("routing", help="routing JSON path")
-    l.add_argument("--fractions", default="0.2,0.5,0.8,1.0,1.5,2.0")
-    l.add_argument("--cycles", type=int, default=4000)
-    l.add_argument(
-        "--injection",
-        choices=("deterministic", "bernoulli", "burst"),
-        default="bernoulli",
-    )
-    l.add_argument("--seed", type=int, default=0)
-    l.set_defaults(func=cmd_latency)
 
     a = sub.add_parser(
         "apps", help="route the published multimedia task graphs"

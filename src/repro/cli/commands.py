@@ -286,43 +286,6 @@ def cmd_theory(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
-    from repro.io import load_routing
-    from repro.noc import latency_sweep, saturation_fraction
-    from repro.utils.tables import format_table
-
-    fractions = parse_fractions(args.fractions)  # validate before any I/O
-    check_seed(args.seed)
-    routing = load_routing(args.routing)
-    points = latency_sweep(
-        routing,
-        fractions,
-        cycles=args.cycles,
-        warmup=args.cycles // 5,
-        injection=args.injection,
-        seed=args.seed,
-    )
-    rows = [
-        [
-            f"{pt.fraction:.2f}",
-            f"{pt.mean_latency:.1f}" if pt.mean_latency < 1e12 else "-",
-            f"{pt.delivered_ratio:.2f}",
-            f"{pt.max_link_utilization:.2f}",
-            "DEADLOCK" if pt.deadlocked else ("ok" if pt.stable else "sat"),
-        ]
-        for pt in points
-    ]
-    print(
-        format_table(
-            ["fraction", "latency", "delivered", "max util", "state"], rows
-        )
-    )
-    sat = saturation_fraction(points)
-    print(f"saturation fraction: {sat:.2f}" if sat != float("inf")
-          else "no saturation inside the sweep")
-    return 0
-
-
 def cmd_noc_sweep(args: argparse.Namespace) -> int:
     from repro.noc import latency_sweep, points_table, saturation_fraction
 
@@ -346,7 +309,6 @@ def cmd_noc_sweep(args: argparse.Namespace) -> int:
             injection=args.injection,
             seed=args.seed,
             jobs=args.jobs,
-            engine=args.engine,
         )
         print(result.to_text())
         doc = result.to_jsonable()
@@ -362,7 +324,6 @@ def cmd_noc_sweep(args: argparse.Namespace) -> int:
             injection=args.injection,
             seed=args.seed if args.seed is not None else 0,
             jobs=args.jobs,
-            engine=args.engine,
         )
         print(points_table(points))
         sat = saturation_fraction(points)
@@ -373,7 +334,9 @@ def cmd_noc_sweep(args: argparse.Namespace) -> int:
         )
         doc = {
             "routing": args.routing,
-            "engine": args.engine,
+            # the schema every saved curve shares (see
+            # ScenarioLatencyResult.to_jsonable)
+            "engine": "array",
             "injection": args.injection,
             "cycles": args.cycles,
             "seed": args.seed if args.seed is not None else 0,
@@ -574,12 +537,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.io import load_routing
-    from repro.noc import FlitSimulator, direction_class_vc, is_deadlock_free
+    from repro.noc import (
+        ArrayFlitSimulator,
+        direction_class_vc,
+        is_deadlock_free,
+    )
 
+    check_min(args.cycles, "--cycles")  # validate before any I/O
+    check_min(args.buffer_flits, "--buffer-flits")
+    check_min(args.packet_flits, "--packet-flits")
     routing = load_routing(args.routing)
     free = is_deadlock_free(routing, direction_class_vc)
     print(f"deadlock-free under direction-class VCs: {free}")
-    sim = FlitSimulator(
+    sim = ArrayFlitSimulator(
         routing,
         num_vcs=4,
         buffer_flits=args.buffer_flits,
@@ -587,9 +557,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     rep = sim.run(args.cycles, warmup=args.cycles // 10)
     ach = [f.achieved_fraction for f in rep.flows]
-    print(
+    head = (
         f"delivered {rep.total_delivered_flits} flits over {args.cycles} "
-        f"cycles; throughput achieved: min {min(ach):.2f} mean "
+        "cycles; "
+    )
+    if not ach:
+        print(head + "the routing has no flows")
+        return 0
+    print(
+        head + f"throughput achieved: min {min(ach):.2f} mean "
         f"{sum(ach) / len(ach):.2f}"
     )
     return 0

@@ -584,7 +584,7 @@ _REORDER_BUDGETS = (1, 2, 4, 8)
 def _reorder_shard(payload: Tuple) -> dict:
     from repro import Mesh, PowerModel, RoutingProblem
     from repro.multipath import SplitTwoBend
-    from repro.noc import FlitSimulator, reorder_stats
+    from repro.noc import ArrayFlitSimulator, reorder_stats
     from repro.workloads import single_pair_workload
 
     s, cycles, warmup = payload
@@ -593,7 +593,7 @@ def _reorder_shard(payload: Tuple) -> dict:
     problem = RoutingProblem(mesh, pm, single_pair_workload(mesh, 1, 3400.0))
     res = SplitTwoBend(s=s).solve(problem)
     assert res.valid
-    sim = FlitSimulator(
+    sim = ArrayFlitSimulator(
         res.routing,
         injection="deterministic",
         collect_packets=True,

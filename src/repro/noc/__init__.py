@@ -9,20 +9,21 @@ table-driven deployment.  This package closes that loop:
   (a resource-ordering scheme: every Manhattan path of direction ``d``
   only ever turns between the two link orientations of its quadrant, so
   giving each direction its own VC makes every per-VC CDG acyclic);
-* :mod:`repro.noc.simulator` — the cycle-based wormhole *reference*
-  simulator that executes a routing's tables with DVFS-scaled link
-  speeds, measuring per-flow throughput, packet latency and per-link
-  utilisation — and demonstrating real deadlock when the CDG analysis
-  says so;
-* :mod:`repro.noc.engine` — the structure-of-arrays wormhole engine,
-  cycle-exact with the reference (probe-pinned and fuzz-proven) at a
-  fraction of the cost; the default engine of every sweep;
+* :mod:`repro.noc.simulator` — the cycle-based wormhole model that
+  executes a routing's tables with DVFS-scaled link speeds, and the
+  report it yields: per-flow throughput, packet latency and per-link
+  utilisation — or a :class:`DeadlockError` when the CDG analysis says
+  the VC assignment can deadlock;
+* :mod:`repro.noc.engine` — the structure-of-arrays wormhole engine that
+  runs that model, cycle-exact with the per-flit reference simulator
+  kept as the test oracle (``tests/noc_reference.py``; probe-pinned and
+  fuzz-proven);
 * :mod:`repro.noc.traffic` — deterministic / Bernoulli / bursty arrival
   processes, all meeting the demanded rates in expectation, plus the
   batched arrival precomputation the array engine injects from;
 * :mod:`repro.noc.sweep` — load–latency curves of a provisioned routing
-  (offered traffic swept past nominal, link DVFS held fixed), with an
-  ``engine=`` switch and a one-process-per-fraction parallel runner;
+  (offered traffic swept past nominal, link DVFS held fixed), with a
+  one-process-per-fraction parallel runner;
 * :mod:`repro.noc.router_power` — Orion-style buffer/crossbar/arbiter
   energy plus router leakage, to re-examine XY vs Manhattan under total
   network power rather than link power alone.
@@ -37,7 +38,6 @@ from repro.noc.deadlock import (
     single_vc,
 )
 from repro.noc.simulator import (
-    FlitSimulator,
     FlowTable,
     SimulationReport,
     FlowStats,
@@ -61,7 +61,6 @@ from repro.noc.traffic import (
     DeterministicInjection,
 )
 from repro.noc.sweep import (
-    ENGINES,
     LatencyPoint,
     latency_sweep,
     points_table,
@@ -84,14 +83,12 @@ __all__ = [
     "ArrayFlitSimulator",
     "FlowTable",
     "build_flow_table",
-    "ENGINES",
     "build_cdg",
     "cdg_cycles",
     "comm_vcs",
     "is_deadlock_free",
     "direction_class_vc",
     "single_vc",
-    "FlitSimulator",
     "SimulationReport",
     "FlowStats",
     "DeadlockError",

@@ -1,10 +1,11 @@
-"""Structure-of-arrays wormhole engine, cycle-exact with the reference.
+"""Structure-of-arrays wormhole engine: the flit engine of :mod:`repro.noc`.
 
-:class:`ArrayFlitSimulator` replays the semantics of
-:class:`~repro.noc.simulator.FlitSimulator` — the same round-robin VC
-arbitration order, the same budget accrual and idle cap, the same wormhole
-ownership and head-of-line blocking, the same deadlock window — on flat
-array state instead of per-flit Python objects:
+:class:`ArrayFlitSimulator` executes the model of
+:mod:`repro.noc.simulator` cycle-exactly as the per-flit reference
+simulator does (``tests/noc_reference.py``, the test oracle) — the same
+round-robin VC arbitration order, the same budget accrual and idle cap,
+the same wormhole ownership and head-of-line blocking, the same deadlock
+window — on flat array state instead of per-flit Python objects:
 
 * per-flow hop tables (``(flow, hop) → link id``, via
   :func:`repro.noc.tables.flow_link_table` and the kernel's
@@ -35,10 +36,10 @@ traversal, VCs are scanned round-robin from the per-link pointer, and
 feeder queues are polled in flow-index order.
 
 The reference simulator stays as the oracle:
-``tests/probes/noc_probes.json`` pins both engines to reports recorded
-from the pre-engine simulator, and ``tests/test_noc_engine.py`` fuzzes
-the equivalence (meshes, VC counts, buffer depths, injection models,
-faulty/derated platforms) report-for-report.
+``tests/probes/noc_probes.json`` pins this engine and the oracle to
+reports recorded from the oracle, and ``tests/test_noc_engine.py``
+fuzzes the equivalence (meshes, VC counts, buffer depths, injection
+models, faulty/derated platforms) report-for-report.
 """
 
 from __future__ import annotations
@@ -63,14 +64,49 @@ from repro.utils.validation import InvalidParameterError
 
 
 class ArrayFlitSimulator:
-    """Array-state wormhole simulator (drop-in for ``FlitSimulator``).
+    """Execute a routing at flit granularity.
 
-    Accepts exactly the parameters of
-    :class:`~repro.noc.simulator.FlitSimulator` and produces bit-identical
-    :class:`~repro.noc.simulator.SimulationReport` objects (flows,
-    utilisation, packet records, deadlock behaviour) for every
-    configuration, at a fraction of the wall-clock cost.  See the module
-    docstring for the state layout and the equivalence argument.
+    Parameters
+    ----------
+    routing:
+        A valid routing (loads within bandwidth) of any split degree; each
+        flow becomes an independent traffic class with its own path.
+    num_vcs:
+        Virtual channels per link; must cover the range of ``vc_of``.
+    vc_of:
+        Per-flow VC assignment; defaults to the deadlock-free
+        direction-class scheme (needs ``num_vcs >= 4``).
+    buffer_flits:
+        FIFO depth of each ``(link, vc)`` buffer.
+    packet_flits:
+        Flits per packet.
+    deadlock_window:
+        Cycles of global no-progress (with traffic in flight) after which
+        :class:`~repro.noc.simulator.DeadlockError` is raised.
+    injection:
+        Arrival model per flow: a name from
+        :data:`repro.noc.traffic.INJECTION_MODELS` ("deterministic" —
+        the default fluid model, "bernoulli", "burst") or a factory
+        ``(rate_frac, packet_flits, rng) -> InjectionProcess``.
+    rate_scale:
+        Multiplier on every flow's injected traffic.  Link speeds stay at
+        the frequencies the power model assigns to the *nominal* routing
+        loads, so sweeping ``rate_scale`` toward (and past) 1.0 traces the
+        load–latency curve of the provisioned network (see
+        :mod:`repro.noc.sweep`).
+    seed:
+        RNG seed for stochastic injection models.
+    collect_packets:
+        Record every delivered packet in ``SimulationReport.packets``
+        (needed by :func:`repro.noc.reorder.reorder_stats`).
+    flow_table:
+        Optional pre-built :class:`~repro.noc.simulator.FlowTable`
+        (``build_flow_table``) so a sweep pays the routing flattening
+        once; must have been built with the same ``num_vcs``.  When
+        given, ``vc_of`` is ignored.
+
+    The module docstring describes the state layout and the equivalence
+    argument.
     """
 
     def __init__(

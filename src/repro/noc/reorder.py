@@ -95,7 +95,8 @@ def reorder_stats(report: SimulationReport) -> Dict[int, ReorderStats]:
     """
     if not report.packets:
         raise InvalidParameterError(
-            "no packet records: run FlitSimulator(..., collect_packets=True)"
+            "no packet records: run "
+            "ArrayFlitSimulator(..., collect_packets=True)"
         )
     by_comm: Dict[int, List[PacketRecord]] = {}
     for rec in report.packets:

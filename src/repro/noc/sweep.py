@@ -14,14 +14,12 @@ differently under bursty arrivals because their queueing headroom
 differs.  The ``noc_latency`` campaign experiment uses it to compare XY
 and PR routings of the same instance.
 
-Execution engines
------------------
+Execution
+---------
 
 Each point runs on the array flit engine
-(:class:`~repro.noc.engine.ArrayFlitSimulator`, ``engine="array"``, the
-default) or the reference simulator (``engine="reference"``) — the two
-are cycle-exact, so the choice never changes a curve, only its cost.
-``jobs > 1`` fans the points of one sweep out to one process pool from
+(:class:`~repro.noc.engine.ArrayFlitSimulator`).  ``jobs > 1`` fans the
+points of one sweep out to one process pool from
 :func:`~repro.utils.pool.worker_pool`, one task per offered-load
 fraction and at most one worker per fraction; every point's simulator
 is seeded identically either way, so serial and parallel sweeps are
@@ -39,7 +37,6 @@ from repro.core.routing import Routing
 from repro.noc.engine import ArrayFlitSimulator
 from repro.noc.simulator import (
     DeadlockError,
-    FlitSimulator,
     FlowTable,
     SimulationReport,
     build_flow_table,
@@ -50,12 +47,6 @@ from repro.utils.validation import InvalidParameterError
 
 #: latency reported for a point that deadlocked or delivered nothing
 UNSTABLE = float("inf")
-
-#: engine name → simulator class (the reference simulator is the oracle)
-ENGINES = {
-    "array": ArrayFlitSimulator,
-    "reference": FlitSimulator,
-}
 
 
 @dataclass(frozen=True)
@@ -157,11 +148,10 @@ def _sweep_point(
     buffer_flits: int,
     num_vcs: int,
     seed: RngLike,
-    engine: str,
     flow_table: Optional[FlowTable] = None,
 ) -> LatencyPoint:
     """Run one offered-load fraction and fold it into a point."""
-    sim = ENGINES[engine](
+    sim = ArrayFlitSimulator(
         routing,
         injection=injection,
         rate_scale=fraction,
@@ -202,7 +192,6 @@ def latency_sweep(
     buffer_flits: int = 4,
     num_vcs: int = 4,
     seed: RngLike = 0,
-    engine: str = "array",
     jobs: int = 1,
 ) -> List[LatencyPoint]:
     """Run the simulator at each offered-load fraction of ``routing``.
@@ -213,21 +202,16 @@ def latency_sweep(
     raised, so a sweep can document where an unprotected configuration
     collapses.
 
-    ``engine`` selects the array flit engine (default) or the cycle-exact
-    ``"reference"`` oracle; ``jobs > 1`` runs the points on a process
-    pool, one worker task per fraction, with bit-identical results in
-    fraction order (parallel execution needs a picklable ``routing`` and
-    ``injection`` — registry names always are).
+    ``jobs > 1`` runs the points on a process pool, one worker task per
+    fraction, with bit-identical results in fraction order (parallel
+    execution needs a picklable ``routing`` and ``injection`` — registry
+    names always are).
     """
     if not fractions:
         raise InvalidParameterError("fractions must be non-empty")
     for frac in fractions:
         if frac <= 0:
             raise InvalidParameterError(f"fractions must be > 0, got {frac}")
-    if engine not in ENGINES:
-        raise InvalidParameterError(
-            f"unknown engine {engine!r}; choose from {sorted(ENGINES)}"
-        )
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1 and isinstance(seed, np.random.Generator):
@@ -246,7 +230,6 @@ def latency_sweep(
         buffer_flits=buffer_flits,
         num_vcs=num_vcs,
         seed=seed,
-        engine=engine,
     )
     if jobs == 1 or len(fractions) == 1:
         # pay the routing flattening once for the whole curve

@@ -190,12 +190,12 @@ def precompute_arrivals(
     """Per-flow packet-arrival schedules for an open-loop run.
 
     Returns ``arrivals`` with ``arrivals[f][t]`` = packets flow ``f``
-    injects at cycle ``t`` — **bit-identical** to constructing the
-    injection processes inside :meth:`FlitSimulator.run
-    <repro.noc.simulator.FlitSimulator.run>` and calling ``packets()``
-    once per cycle.  Arrival processes are open loop (they never observe
-    network state), so the whole schedule can be drawn up front; this is
-    what lets the array engine batch injection.
+    injects at cycle ``t`` — **bit-identical** to constructing one
+    injection process per flow at the start of a run and calling
+    ``packets()`` once per cycle, as the reference simulator
+    (``tests/noc_reference.py``) does.  Arrival processes are open loop
+    (they never observe network state), so the whole schedule can be
+    drawn up front; this is what lets the array engine batch injection.
 
     The RNG draw-order contract of the reference simulator is replayed
     exactly: one ``rng.integers(2**63)`` seeding draw per flow, in flow

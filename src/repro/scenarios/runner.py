@@ -155,7 +155,6 @@ class ScenarioLatencyResult:
 
     scenario: Scenario
     heuristic: str
-    engine: str
     jobs: int
     injection: str
     cycles: int
@@ -173,7 +172,10 @@ class ScenarioLatencyResult:
             "scenario": self.scenario.name,
             "mesh": self.scenario.mesh.describe(),
             "heuristic": self.heuristic,
-            "engine": self.engine,
+            # constant, kept so every saved curve has one schema (and
+            # perfbench's noc-curve digests, which hash this document,
+            # stay valid)
+            "engine": "array",
             "injection": self.injection,
             "cycles": self.cycles,
             "warmup": self.warmup,
@@ -189,7 +191,7 @@ class ScenarioLatencyResult:
         head = (
             f"scenario {sc.name}: {sc.mesh.describe()}, {self.heuristic} "
             f"routing ({self.routing_power:.1f} mW), {self.injection} "
-            f"arrivals, seed {sc.seed}, {self.engine} engine\n"
+            f"arrivals, seed {sc.seed}, array engine\n"
         )
         tail = (
             f"\nsaturation fraction: {sat:.2f}"
@@ -209,7 +211,6 @@ def scenario_latency_curve(
     injection: str = "bernoulli",
     seed: int | None = None,
     jobs: int = 1,
-    engine: str = "array",
 ) -> ScenarioLatencyResult:
     """Deploy a scenario's trial-0 instance and record its latency curve.
 
@@ -217,9 +218,9 @@ def scenario_latency_curve(
     Monte-Carlo runner uses (``spawn_rngs(seed, 1)[0]``), routed with
     ``heuristic`` (``"BEST"`` runs the whole roster and deploys the
     winner), provisioned, and swept over ``fractions`` with the scenario
-    seed feeding the injection processes.  ``jobs``/``engine`` are passed
-    through to :func:`repro.noc.sweep.latency_sweep`, so serial and
-    parallel curves are bit-identical.
+    seed feeding the injection processes.  ``jobs`` is passed through to
+    :func:`repro.noc.sweep.latency_sweep`, so serial and parallel curves
+    are bit-identical.
     """
     from repro.heuristics import BestOf, get_heuristic
 
@@ -248,12 +249,10 @@ def scenario_latency_curve(
         injection=injection,
         seed=scenario.seed,
         jobs=jobs,
-        engine=engine,
     )
     return ScenarioLatencyResult(
         scenario=scenario,
         heuristic=heuristic,
-        engine=engine,
         jobs=jobs,
         injection=injection,
         cycles=cycles,

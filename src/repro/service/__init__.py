@@ -9,9 +9,8 @@ seeded, incrementally repaired and locally polished instead of
 cold-solved (:mod:`repro.service.warmstart`) — which is what makes
 resubmission-heavy churn traffic (rate drift, comms added/removed, link
 failures) cheap.  :mod:`repro.service.client` is the stdlib-only client
-the ``repro route --server/--socket`` remote mode uses; the E-CHURN
-bench (``benchmarks/record_baseline.py --suite churn``) pins the
-warm-vs-cold speedup and the SLA latency percentiles.
+the ``repro route --server/--socket`` remote mode uses; perfbench's
+``serve-churn`` workload measures served warm re-routes end to end.
 
 The resilience layer (:mod:`repro.service.resilience`) keeps the
 service honest under load and infrastructure faults: bounded admission
@@ -20,8 +19,8 @@ transparent worker-pool rebuild after a crashed worker, keep-alive
 client connections with seeded retry/backoff, graceful drain on
 SIGTERM, and a deterministic :class:`FaultPlan` harness that scripts
 worker crashes / compute delays / dropped connections so every
-recovery path is exercised by ordinary tests and the E-SOAK chaos
-bench (``--suite soak``).
+recovery path is exercised by ordinary tests, concurrent chaos runs
+included.
 
 Every ``/route`` request takes one path: admission, then the
 request pipeline of :mod:`repro.service.batching`, run inline

@@ -138,13 +138,6 @@ class TestCliErrorPaths:
             "at least one fraction",
         )
 
-    def test_latency_bad_fractions(self, capsys):
-        self._expect(
-            ["latency", "r.json", "--fractions", "x"],
-            capsys,
-            "--fractions must be comma-separated numbers",
-        )
-
     def test_generate_bad_mesh(self, capsys):
         self._expect(
             ["generate", "--mesh", "8by8"], capsys, "look like '8x8'"
@@ -186,11 +179,23 @@ class TestCliErrorPaths:
         )
 
     def test_latency_bad_seed(self, capsys):
+        """A saved-routing latency curve checks --seed before any I/O."""
         self._expect(
-            ["latency", "r.json", "--seed", "-1"],
+            ["noc", "sweep", "r.json", "--seed", "-1"],
             capsys,
             "--seed must be >= 0, got -1",
         )
+
+    @pytest.mark.parametrize(
+        "flag", ["--cycles", "--buffer-flits", "--packet-flits"]
+    )
+    def test_simulate_bad_value_before_io(self, flag, capsys):
+        """The bad value is reported, not the missing file, and nothing
+        is printed before the error."""
+        assert main(["simulate", "missing.json", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be >= 1, got 0" in captured.err
 
     def test_noc_sweep_bad_seed(self, capsys):
         self._expect(

@@ -15,7 +15,7 @@ from repro import Communication, Mesh, PowerModel, RoutingProblem
 from repro.heuristics import available_heuristics, get_heuristic
 from repro.mesh.paths import CommDag
 from repro.multipath import AdaptiveSplitRepair, SplitTwoBend
-from repro.noc import FlitSimulator
+from repro.noc import ArrayFlitSimulator
 from repro.optimal import optimal_same_endpoint_single_path, optimal_single_path
 from repro.utils.validation import InvalidParameterError
 from repro.viz import mesh_heatmap_svg
@@ -69,7 +69,7 @@ class TestLineMeshes:
 
     def test_simulator_on_a_line(self, line_problem):
         routing = get_heuristic("XY").solve(line_problem).routing
-        rep = FlitSimulator(routing).run(3000, warmup=300)
+        rep = ArrayFlitSimulator(routing).run(3000, warmup=300)
         for f in rep.flows:
             assert f.achieved_fraction > 0.95
 

@@ -418,3 +418,37 @@ class TestNocEquivalence:
             else:
                 assert np.isnan(fn.mean_packet_latency)
         assert rp.packets == rn.packets
+
+
+# ----------------------------------------------------------------------
+# warm-start churn chain equivalence
+# ----------------------------------------------------------------------
+@needs_native
+class TestChurnEquivalence:
+    def test_churn_chain_totals_equal_across_tiers(self):
+        """The 24-step chain of ``TestChurnQuality`` (cold solves and the
+        warm chain) routes hex-equal power totals on both tiers."""
+        from repro.scenarios import ChurnSpec, churn_trace
+        from repro.service import route_incremental
+
+        steps = churn_trace(
+            ChurnSpec(
+                scenario="paper-baseline",
+                requests=24,
+                seed=7,
+                fault_prob=0.15,
+                rate_scale=0.5,
+            )
+        )
+
+        def totals(mode: str):
+            with _tier(mode):
+                chain = route_incremental(steps[0].problem)
+                cold = warm = 0.0
+                for step in steps[1:]:
+                    cold += route_incremental(step.problem).power
+                    chain = route_incremental(step.problem, chain.routing)
+                    warm += chain.power
+            return cold.hex(), warm.hex()
+
+        assert totals("0") == totals("1")

@@ -6,8 +6,8 @@ import pytest
 from repro import Communication, Mesh, PowerModel, Routing, RoutingProblem
 from repro.heuristics import get_heuristic
 from repro.noc import (
+    ArrayFlitSimulator,
     DeadlockError,
-    FlitSimulator,
     build_cdg,
     cdg_cycles,
     direction_class_vc,
@@ -71,16 +71,16 @@ class TestSimulatorBasics:
         ]
         r = Routing.xy(RoutingProblem(mesh8, pm_kh, comms))
         with pytest.raises(InvalidParameterError, match="invalid routing"):
-            FlitSimulator(r)
+            ArrayFlitSimulator(r)
 
     def test_parameter_validation(self, ring_routing):
         with pytest.raises(InvalidParameterError):
-            FlitSimulator(ring_routing, num_vcs=0)
+            ArrayFlitSimulator(ring_routing, num_vcs=0)
         with pytest.raises(InvalidParameterError):
-            FlitSimulator(ring_routing, buffer_flits=0)
+            ArrayFlitSimulator(ring_routing, buffer_flits=0)
         with pytest.raises(InvalidParameterError):
-            FlitSimulator(ring_routing, packet_flits=0)
-        sim = FlitSimulator(ring_routing)
+            ArrayFlitSimulator(ring_routing, packet_flits=0)
+        sim = ArrayFlitSimulator(ring_routing)
         with pytest.raises(InvalidParameterError):
             sim.run(0)
         with pytest.raises(InvalidParameterError):
@@ -88,14 +88,15 @@ class TestSimulatorBasics:
 
     def test_vc_range_checked(self, ring_routing):
         with pytest.raises(InvalidParameterError):
-            FlitSimulator(ring_routing, num_vcs=2)  # direction-class needs 4
+            # direction-class needs 4
+            ArrayFlitSimulator(ring_routing, num_vcs=2)
 
     def test_single_flow_full_throughput(self, mesh44, pm_kh):
         prob = RoutingProblem(
             mesh44, pm_kh, [Communication((0, 0), (2, 3), 1750.0)]
         )
         r = Routing.xy(prob)
-        rep = FlitSimulator(r, packet_flits=4).run(8000, warmup=1000)
+        rep = ArrayFlitSimulator(r, packet_flits=4).run(8000, warmup=1000)
         (flow,) = rep.flows
         assert flow.achieved_fraction >= 0.98
         assert flow.mean_packet_latency > 0
@@ -103,7 +104,9 @@ class TestSimulatorBasics:
     def test_conservation_delivered_at_most_injected(self, mesh8, pm_kh):
         comms = uniform_random_workload(mesh8, 10, 100.0, 800.0, rng=4)
         res = get_heuristic("PR").solve(RoutingProblem(mesh8, pm_kh, comms))
-        rep = FlitSimulator(res.routing, packet_flits=4).run(4000, warmup=400)
+        rep = ArrayFlitSimulator(res.routing, packet_flits=4).run(
+            4000, warmup=400
+        )
         for f in rep.flows:
             assert f.delivered_flits <= f.injected_flits + 64  # warmup slack
 
@@ -111,7 +114,9 @@ class TestSimulatorBasics:
         comms = transpose_pattern(mesh44, rate=600.0)
         res = get_heuristic("PR").solve(RoutingProblem(mesh44, pm_kh, comms))
         assert res.valid
-        rep = FlitSimulator(res.routing, packet_flits=8).run(20000, warmup=2000)
+        rep = ArrayFlitSimulator(res.routing, packet_flits=8).run(
+            20000, warmup=2000
+        )
         loads = res.routing.link_loads()
         freqs = pm_kh.quantize(loads)
         predicted = np.where(freqs > 0, loads / np.maximum(freqs, 1e-12), 0.0)
@@ -134,14 +139,14 @@ class TestSimulatorBasics:
                 ],
             ],
         )
-        rep = FlitSimulator(r, packet_flits=2).run(3000, warmup=300)
+        rep = ArrayFlitSimulator(r, packet_flits=2).run(3000, warmup=300)
         assert len(rep.flows) == 3
         assert rep.total_delivered_flits > 0
 
 
 class TestDeadlockBehaviour:
     def test_single_vc_deadlocks_under_pressure(self, ring_routing):
-        sim = FlitSimulator(
+        sim = ArrayFlitSimulator(
             ring_routing,
             num_vcs=1,
             vc_of=single_vc,
@@ -153,7 +158,7 @@ class TestDeadlockBehaviour:
             sim.run(40000)
 
     def test_direction_class_survives_same_pressure(self, ring_routing):
-        rep = FlitSimulator(
+        rep = ArrayFlitSimulator(
             ring_routing, num_vcs=4, buffer_flits=1, packet_flits=32
         ).run(40000, warmup=2000)
         assert not rep.deadlocked

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro import Communication, Mesh, PowerModel, Routing, RoutingProblem
-from repro.noc import FlitSimulator
+from repro.noc import ArrayFlitSimulator
 
 
 @pytest.fixture
@@ -21,16 +21,16 @@ class TestAccounting:
     def test_no_delivery_means_nan_latency(self, one_hop_routing):
         """A run too short for any packet to finish reports NaN latency
         and zero delivered packets, not a crash."""
-        sim = FlitSimulator(one_hop_routing, packet_flits=64)
+        sim = ArrayFlitSimulator(one_hop_routing, packet_flits=64)
         rep = sim.run(2)
         (flow,) = rep.flows
         assert flow.delivered_packets == 0
         assert math.isnan(flow.mean_packet_latency)
 
     def test_warmup_excluded_from_counters(self, one_hop_routing):
-        sim = FlitSimulator(one_hop_routing, packet_flits=4)
+        sim = ArrayFlitSimulator(one_hop_routing, packet_flits=4)
         full = sim.run(4000, warmup=0)
-        sim2 = FlitSimulator(one_hop_routing, packet_flits=4)
+        sim2 = ArrayFlitSimulator(one_hop_routing, packet_flits=4)
         warm = sim2.run(4000, warmup=2000)
         assert warm.total_delivered_flits < full.total_delivered_flits
 
@@ -41,14 +41,14 @@ class TestAccounting:
         prob = RoutingProblem(
             mesh, pm_kh, [Communication((0, 0), (3, 3), 100.0)]
         )
-        rep = FlitSimulator(Routing.xy(prob), packet_flits=4).run(
+        rep = ArrayFlitSimulator(Routing.xy(prob), packet_flits=4).run(
             30000, warmup=3000
         )
         (flow,) = rep.flows
         assert flow.achieved_fraction > 0.95
 
     def test_utilization_zero_on_unused_links(self, one_hop_routing):
-        sim = FlitSimulator(one_hop_routing, packet_flits=4)
+        sim = ArrayFlitSimulator(one_hop_routing, packet_flits=4)
         rep = sim.run(1000)
         mesh = one_hop_routing.problem.mesh
         used = one_hop_routing.link_loads() > 0
@@ -65,6 +65,6 @@ class TestAccounting:
         prob = RoutingProblem(mesh, pm_kh, comms)
         r = Routing.from_moves(prob, ["HH", "VHH"])
         # shared link (0,1)->(0,2): 3400 <= 3500
-        rep = FlitSimulator(r, packet_flits=4).run(30000, warmup=3000)
+        rep = ArrayFlitSimulator(r, packet_flits=4).run(30000, warmup=3000)
         fractions = [f.achieved_fraction for f in rep.flows]
         assert min(fractions) > 0.9

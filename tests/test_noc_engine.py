@@ -1,25 +1,26 @@
 """Array flit engine ⇄ reference simulator equivalence.
 
-Three layers of proof that :class:`~repro.noc.engine.ArrayFlitSimulator`
-replays :class:`~repro.noc.simulator.FlitSimulator` cycle for cycle:
+Two layers of proof that :class:`~repro.noc.engine.ArrayFlitSimulator`
+replays the reference simulator (the oracle in ``tests/noc_reference.py``)
+cycle for cycle:
 
 * the probe corpus — ``tests/probes/noc_probes.json`` was recorded from
-  the reference simulator *before* the array engine landed; both engines
-  must reproduce every record (flow counters, hex utilisations, packet
-  streams, deadlock cycle counts) bit for bit;
+  the reference simulator *before* the array engine landed; the engine
+  and the oracle must reproduce every record (flow counters, hex
+  utilisations, packet streams, deadlock cycle counts) bit for bit;
 * hypothesis fuzzing — random meshes (incl. the faulty / derated
   scenario platforms), VC counts, buffer depths, packet sizes and all
-  three injection models, comparing full hex-exact reports;
-* the sweep layer — ``engine="array"`` / ``engine="reference"`` /
-  ``jobs=2`` latency sweeps are identical point for point.
+  three injection models, comparing full hex-exact reports.
 
-Plus the riding conventions: the shared :class:`FlowTable`, the
-zero-injection corner of ``achieved_fraction`` / ``delivered_ratio`` and
-the ``repro noc sweep`` CLI surface.
+Plus the sweep layer (serial and ``jobs=2`` latency sweeps are identical
+point for point), the riding conventions (the shared :class:`FlowTable`,
+the zero-injection corner of ``achieved_fraction`` / ``delivered_ratio``)
+and the ``repro noc sweep`` CLI surface.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.record_noc_probes import (
+    ENGINES,
     probe_cases,
     report_to_jsonable,
     run_to_jsonable,
@@ -38,7 +40,6 @@ from repro.cli import main
 from repro.heuristics import get_heuristic
 from repro.noc import (
     ArrayFlitSimulator,
-    FlitSimulator,
     FlowStats,
     LatencyPoint,
     build_flow_table,
@@ -47,10 +48,9 @@ from repro.noc import (
 from repro.scenarios import get_scenario, scenario_latency_curve
 from repro.utils.validation import InvalidParameterError
 from repro.workloads import uniform_random_workload
+from tests.noc_reference import FlitSimulator
 
 FIXTURE = pathlib.Path(__file__).parent / "probes" / "noc_probes.json"
-
-ENGINES = {"reference": FlitSimulator, "array": ArrayFlitSimulator}
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def fixture() -> dict:
 
 
 # ----------------------------------------------------------------------
-# probe corpus: both engines reproduce the pre-change reports exactly
+# probe corpus: engine and oracle reproduce the pre-change reports exactly
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("cname", list(probe_cases()))
@@ -69,6 +69,31 @@ def test_probe_bit_identical(cname, engine, fixture):
         f"{engine} engine drifted from the pre-change simulator on "
         f"probe {cname!r}"
     )
+
+
+def test_probe_check_catches_a_broken_engine(tmp_path, monkeypatch, capsys):
+    """``record_noc_probes.py --check`` runs the array engine, not only
+    the oracle, and names the engine that drifted."""
+    from benchmarks import record_noc_probes as rec
+
+    cases = {"det-4x4-pr": probe_cases()["det-4x4-pr"]}
+    monkeypatch.setattr(rec, "probe_cases", lambda: cases)
+    monkeypatch.setattr(rec, "FIXTURE", tmp_path / "noc_probes.json")
+    rec.FIXTURE.write_text(rec.snapshot())
+    assert rec.main(["--check"]) == 0
+
+    real_run = ArrayFlitSimulator.run
+
+    def broken_run(self, cycles, *, warmup=0):
+        report = real_run(self, cycles, warmup=warmup)
+        return dataclasses.replace(
+            report, total_delivered_flits=report.total_delivered_flits + 1
+        )
+
+    monkeypatch.setattr(ArrayFlitSimulator, "run", broken_run)
+    assert rec.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert "drifted on the array engine" in err
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +160,7 @@ def test_fuzzed_reports_identical(
 
 
 # ----------------------------------------------------------------------
-# the sweep layer: engine switch, flow-table reuse, parallel points
+# the sweep layer: flow-table reuse, parallel points
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def small_routing():
@@ -155,21 +180,11 @@ def small_routing():
 class TestSweepEngine:
     FRACS = [0.4, 0.9, 1.6]
 
-    def test_engines_produce_identical_curves(self, small_routing):
-        kw = dict(cycles=600, warmup=120, seed=5)
-        assert latency_sweep(
-            small_routing, self.FRACS, engine="array", **kw
-        ) == latency_sweep(small_routing, self.FRACS, engine="reference", **kw)
-
     def test_serial_vs_jobs2_bit_identical(self, small_routing):
         kw = dict(cycles=600, warmup=120, seed=5)
         assert latency_sweep(
             small_routing, self.FRACS, jobs=1, **kw
         ) == latency_sweep(small_routing, self.FRACS, jobs=2, **kw)
-
-    def test_unknown_engine_rejected(self, small_routing):
-        with pytest.raises(InvalidParameterError, match="unknown engine"):
-            latency_sweep(small_routing, [0.5], engine="warp")
 
     def test_bad_jobs_rejected(self, small_routing):
         with pytest.raises(InvalidParameterError, match="jobs"):
@@ -259,11 +274,11 @@ class TestScenarioLatencyCurve:
             assert result.scenario.name == name
 
     def test_engine_and_jobs_invariance(self):
+        """The engine's curve does not depend on the worker count."""
         kw = dict(fractions=[0.4, 1.0], cycles=200, warmup=40)
         a = scenario_latency_curve("narrow-mesh", **kw)
-        b = scenario_latency_curve("narrow-mesh", engine="reference", **kw)
         c = scenario_latency_curve("narrow-mesh", jobs=2, **kw)
-        assert a.points == b.points == c.points
+        assert a.points == c.points
 
     def test_jsonable_and_text_render(self):
         result = scenario_latency_curve(
@@ -328,14 +343,6 @@ class TestNocSweepCli:
         )
         assert code == 0
         assert "paper-baseline" in capsys.readouterr().out
-
-    def test_engine_reference_matches_array(self, tmp_path, capsys):
-        path = self._routing_file(tmp_path)
-        argv = ["noc", "sweep", path, "--fractions", "0.5", "--cycles", "150"]
-        assert main(argv + ["--engine", "array"]) == 0
-        out_a = capsys.readouterr().out
-        assert main(argv + ["--engine", "reference"]) == 0
-        assert capsys.readouterr().out == out_a
 
     @pytest.mark.parametrize(
         "argv",

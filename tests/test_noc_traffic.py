@@ -9,10 +9,10 @@ from repro import Communication, Mesh, PowerModel, RoutingProblem
 from repro.core.routing import Routing
 from repro.heuristics import get_heuristic
 from repro.noc import (
+    ArrayFlitSimulator,
     BernoulliInjection,
     BurstInjection,
     DeterministicInjection,
-    FlitSimulator,
     LatencyPoint,
     RouterPowerModel,
     active_routers,
@@ -120,7 +120,7 @@ class TestInjectionProcesses:
 class TestStochasticSimulation:
     def test_bernoulli_throughput_below_saturation(self, pm_kh):
         routing = small_routing(pm_kh)
-        sim = FlitSimulator(routing, injection="bernoulli", seed=5)
+        sim = ArrayFlitSimulator(routing, injection="bernoulli", seed=5)
         report = sim.run(6000, warmup=1000)
         for flow in report.flows:
             if flow.injected_flits:
@@ -128,8 +128,8 @@ class TestStochasticSimulation:
 
     def test_rate_scale_scales_injection(self, pm_kh):
         routing = small_routing(pm_kh)
-        lo = FlitSimulator(routing, rate_scale=0.25, seed=6).run(4000)
-        hi = FlitSimulator(routing, rate_scale=0.75, seed=6).run(4000)
+        lo = ArrayFlitSimulator(routing, rate_scale=0.25, seed=6).run(4000)
+        hi = ArrayFlitSimulator(routing, rate_scale=0.75, seed=6).run(4000)
         lo_inj = sum(f.injected_flits for f in lo.flows)
         hi_inj = sum(f.injected_flits for f in hi.flows)
         assert hi_inj > 2 * lo_inj
@@ -137,12 +137,13 @@ class TestStochasticSimulation:
     def test_rate_scale_validation(self, pm_kh):
         routing = small_routing(pm_kh)
         with pytest.raises(InvalidParameterError):
-            FlitSimulator(routing, rate_scale=0.0)
+            ArrayFlitSimulator(routing, rate_scale=0.0)
 
     def test_deterministic_seeded_runs_identical(self, pm_kh):
         routing = small_routing(pm_kh)
-        a = FlitSimulator(routing, injection="bernoulli", seed=7).run(2000)
-        b = FlitSimulator(routing, injection="bernoulli", seed=7).run(2000)
+        kw = dict(injection="bernoulli", seed=7)
+        a = ArrayFlitSimulator(routing, **kw).run(2000)
+        b = ArrayFlitSimulator(routing, **kw).run(2000)
         assert a.total_delivered_flits == b.total_delivered_flits
 
 

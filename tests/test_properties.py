@@ -233,13 +233,15 @@ def test_property_same_endpoint_chain(rates, du, dv):
 @given(comms=communications(max_n=4, rate_max=1000.0))
 def test_property_single_path_delivery_is_in_order(comms):
     """Wormhole on single-path routings never reorders any communication."""
-    from repro.noc import FlitSimulator, reorder_stats
+    from repro.noc import ArrayFlitSimulator, reorder_stats
 
     prob = RoutingProblem(MESH, KH, comms)
     res = get_heuristic("PR").solve(prob)
     if not res.valid:
         return
-    rep = FlitSimulator(res.routing, collect_packets=True).run(2500, warmup=200)
+    rep = ArrayFlitSimulator(res.routing, collect_packets=True).run(
+        2500, warmup=200
+    )
     if not rep.packets:
         return
     for st_ in reorder_stats(rep).values():

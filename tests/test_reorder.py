@@ -10,7 +10,7 @@ from repro.core.routing import RoutedFlow, Routing
 from repro.heuristics import get_heuristic
 from repro.mesh.paths import Path
 from repro.multipath import AdaptiveSplitRepair
-from repro.noc import FlitSimulator, reorder_stats, worst_reorder_buffer
+from repro.noc import ArrayFlitSimulator, reorder_stats, worst_reorder_buffer
 from repro.noc.reorder import ReorderStats, _comm_stats
 from repro.noc.simulator import PacketRecord
 from repro.utils.validation import InvalidParameterError
@@ -38,7 +38,7 @@ class TestPacketCollection:
             mesh, pm_kh, [Communication((0, 0), (3, 3), 800.0)]
         )
         routing = get_heuristic("XY").solve(problem).routing
-        rep = FlitSimulator(routing).run(2000)
+        rep = ArrayFlitSimulator(routing).run(2000)
         assert rep.packets == ()
         with pytest.raises(InvalidParameterError):
             reorder_stats(rep)
@@ -49,7 +49,7 @@ class TestPacketCollection:
             mesh, pm_kh, [Communication((0, 0), (3, 3), 800.0)]
         )
         routing = get_heuristic("XY").solve(problem).routing
-        rep = FlitSimulator(routing, collect_packets=True).run(3000)
+        rep = ArrayFlitSimulator(routing, collect_packets=True).run(3000)
         assert len(rep.packets) == sum(f.delivered_packets for f in rep.flows)
         for rec in rep.packets:
             assert rec.completed_at >= rec.injected_at
@@ -69,7 +69,7 @@ class TestReorderAnalysis:
             ],
         )
         routing = get_heuristic("PR").solve(problem).routing
-        rep = FlitSimulator(routing, collect_packets=True).run(4000)
+        rep = ArrayFlitSimulator(routing, collect_packets=True).run(4000)
         stats = reorder_stats(rep)
         for st in stats.values():
             assert st.in_order
@@ -80,7 +80,7 @@ class TestReorderAnalysis:
     def test_split_flow_reorders(self):
         """Two equal-rate paths of unequal congestion must reorder."""
         routing = split_routing()
-        rep = FlitSimulator(
+        rep = ArrayFlitSimulator(
             routing, injection="bernoulli", seed=3, collect_packets=True
         ).run(6000, warmup=500)
         stats = reorder_stats(rep)
@@ -98,7 +98,7 @@ class TestReorderAnalysis:
         )
         asr = AdaptiveSplitRepair(s=2).solve(problem)
         assert asr.valid
-        rep = FlitSimulator(
+        rep = ArrayFlitSimulator(
             asr.routing, injection="deterministic", collect_packets=True
         ).run(6000, warmup=500)
         stats = reorder_stats(rep)

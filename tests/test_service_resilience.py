@@ -169,11 +169,12 @@ class TestRequestValidation:
 
 # ----------------------------------------------------------------------
 class TestAdmissionControl:
-    def test_overflow_answers_429_then_recovers(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])  # inline and pooled
+    def test_overflow_answers_429_then_recovers(self, jobs, tmp_path):
         plan = FaultPlan.parse("delay@0:0.6")
         with _LiveServer(
-            jobs=2, cache_dir=str(tmp_path), max_inflight=1, queue_depth=0,
-            fault_plan=plan,
+            jobs=jobs, cache_dir=str(tmp_path), max_inflight=1,
+            queue_depth=0, fault_plan=plan,
         ) as live:
             slow_result = {}
 
@@ -576,3 +577,53 @@ class TestScriptedPlanAcceptance:
         assert stats["drops"] == 1
         assert stats["timeouts"] == 0  # the delay stayed under the deadline
         assert live.server.fault_plan.pending() == 0  # every fault fired
+
+    def test_concurrent_clients_zero_failures(self, tmp_path):
+        """Four keep-alive clients, three requests each, while the plan
+        kills a worker, stalls a compute and drops a connection: no
+        client sees a failure and every answer is the serial one."""
+        clients, per_client = 4, 3
+        docs = [
+            request_doc(small_problem(seed=400 + i), cache=False)
+            for i in range(clients * per_client)
+        ]
+        serial = [handle_request_doc(doc, use_cache=False) for doc in docs]
+        assert all(status == 200 for status, _ in serial)
+        answers = [None] * len(docs)
+        failures = []
+        plan = FaultPlan.parse("crash@2,delay@5:0.08,drop@8")
+        with _LiveServer(
+            jobs=2, cache_dir=str(tmp_path), use_cache=False, fault_plan=plan
+        ) as live:
+
+            def drive(ci: int) -> None:
+                try:
+                    client = ServiceClient(
+                        "127.0.0.1", live.port,
+                        retry=TEST_RETRY.reseeded(ci + 1), timeout=60,
+                    )
+                    client.wait_ready()
+                    for ri in range(per_client):
+                        idx = ci * per_client + ri
+                        answers[idx] = client.route(docs[idx])
+                    client.close()
+                except Exception as exc:  # noqa: BLE001 — what is counted
+                    failures.append((ci, repr(exc)))
+
+            threads = [
+                threading.Thread(target=drive, args=(ci,))
+                for ci in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stats = dict(live.server.stats)
+        assert not failures
+        for got, (_, want) in zip(answers, serial):
+            assert got is not None
+            assert got["routing"] == want["routing"]
+            assert got["power"] == want["power"]
+        assert live.server.fault_plan.pending() == 0
+        assert stats["pool_rebuilds"] >= 1
+        assert stats["drops"] >= 1

@@ -322,11 +322,11 @@ class TestTheorem1Routing:
 
     def test_simulable(self, pm_kh):
         """The witness deploys on the flit simulator like any routing."""
-        from repro.noc import FlitSimulator
+        from repro.noc import ArrayFlitSimulator
         from repro.theory import theorem1_routing
 
         routing = theorem1_routing(4, 3000.0, power=pm_kh)
-        rep = FlitSimulator(routing).run(4000, warmup=400)
+        rep = ArrayFlitSimulator(routing).run(4000, warmup=400)
         total_inj = sum(f.injected_flits for f in rep.flows)
         total_del = sum(f.delivered_flits for f in rep.flows)
         assert total_del > 0.9 * total_inj

@@ -117,6 +117,19 @@ class TestCli:
         assert main(["simulate", str(path), "--cycles", "2000"]) == 0
         assert "deadlock-free" in capsys.readouterr().out
 
+    def test_simulate_routing_without_flows(self, tmp_path, capsys):
+        """No communications: a one-line report, not a min() traceback."""
+        from repro.io import save_routing
+
+        prob = RoutingProblem(Mesh(4, 4), PowerModel.kim_horowitz(), [])
+        path = tmp_path / "empty.json"
+        save_routing(Routing.xy(prob), path)
+        assert main(["simulate", str(path), "--cycles", "200"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == (
+            "delivered 0 flits over 200 cycles; the routing has no flows"
+        )
+
     def test_bad_mesh_is_a_clean_error(self, capsys):
         code = main(["generate", "--mesh", "bogus"])
         assert code == 2
@@ -193,31 +206,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "optimal 1-MP" in out
         assert "XY / optimal-1MP" in out
-
-    def test_latency_subcommand(self, tmp_path, capsys):
-        from repro.io import save_routing
-
-        mesh = Mesh(4, 4)
-        prob = RoutingProblem(
-            mesh,
-            PowerModel.kim_horowitz(),
-            [Communication((0, 0), (3, 3), 900.0)],
-        )
-        path = tmp_path / "r.json"
-        save_routing(Routing.xy(prob), path)
-        code = main(
-            [
-                "latency",
-                str(path),
-                "--fractions",
-                "0.5,1.0",
-                "--cycles",
-                "1500",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fraction" in out and "delivered" in out
 
     def test_unwritable_output_path_is_clean_error(self, capsys):
         code = main(
