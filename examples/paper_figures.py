@@ -5,16 +5,15 @@ Runs the Monte-Carlo harness for every figure panel and prints the two
 series the paper plots per panel — normalised power inverse and failure
 ratio — one text table each, plus the Section 6.4 summary statistics.
 
-Trials per point default to the harness default (override with the
-``REPRO_TRIALS`` environment variable or the first CLI argument; the paper
-used 50 000).  Full run takes minutes at the default; pass a small trial
-count for a quick look:
+Trials per point default to the harness default (override with the first
+CLI argument; the summary samples ten times as many; the paper used
+50 000).  Full run takes minutes at the default; pass a small trial count
+for a quick look:
 
     python examples/paper_figures.py 20        # 20 trials/point
     python examples/paper_figures.py 20 fig7a  # one panel only
 """
 
-import os
 import sys
 
 from repro.experiments import (
@@ -30,6 +29,7 @@ from repro.experiments import (
     summary_statistics,
     sweep_to_text,
 )
+from repro.experiments.config import DEFAULT_TRIALS
 
 PANELS = {
     "fig7a": fig7a,
@@ -45,8 +45,7 @@ PANELS = {
 
 
 def main() -> None:
-    if len(sys.argv) > 1:
-        os.environ["REPRO_TRIALS"] = sys.argv[1]
+    trials = int(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_TRIALS
     wanted = sys.argv[2:] or list(PANELS)
     for name in wanted:
         if name == "summary":
@@ -56,11 +55,11 @@ def main() -> None:
                 f"unknown panel {name!r}; choose from {sorted(PANELS)} or 'summary'"
             )
         print(f"\n##### {name} #####")
-        print(sweep_to_text(PANELS[name]()))
+        print(sweep_to_text(PANELS[name](trials=trials)))
 
     if not sys.argv[2:] or "summary" in sys.argv[2:]:
         print("\n##### Section 6.4 summary #####")
-        s = summary_statistics()
+        s = summary_statistics(trials=10 * trials)
         print(f"trials: {s.trials}")
         print("success ratios (paper: XY 15%, XYI 46%, PR 50%, BEST 51%):")
         for k, v in s.success_ratio.items():

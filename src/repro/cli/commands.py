@@ -210,9 +210,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
             f"unknown panel {args.panel!r}; choose from "
             f"{', '.join(figures.PANELS)} or 'summary'"
         )
-    # pass trials explicitly rather than through REPRO_TRIALS — mutating
-    # os.environ would leak into everything else running in this process
     check_trials(args.trials)
+    if args.panel == "summary" and args.svg_dir:
+        raise ReproError("--svg-dir charts a figure panel; 'summary' has none")
     kw = {}
     if args.trials:
         kw["trials"] = args.trials

@@ -19,20 +19,17 @@ from repro.experiments.config import (
     SweepConfig,
     SweepPoint,
     UniformRandomFactory,
-    default_trials,
     fig7_config,
     fig8_config,
     fig9_config,
 )
 from repro.experiments.runner import (
     HeuristicPointStats,
-    ParallelSweepRunner,
     PointResult,
     SweepResult,
     TrialOutcome,
     TrialRecord,
     aggregate_records,
-    default_jobs,
     run_point,
     run_sweep,
     run_trial,
@@ -59,9 +56,6 @@ __all__ = [
     "UniformRandomFactory",
     "FixedWeightFactory",
     "LengthTargetedFactory",
-    "default_trials",
-    "default_jobs",
-    "ParallelSweepRunner",
     "TrialOutcome",
     "TrialRecord",
     "aggregate_records",

@@ -6,10 +6,9 @@ run/check`` and the benchmark suite:
 1. resolve the experiment's shards and probe the artifact store — valid
    cached shards are *loaded*, everything else is *computed*;
 2. run the missing shards, serially (``jobs=1``) or on one process pool
-   from :func:`~repro.utils.pool.worker_pool` (``jobs>1``, same
-   worker-count semantics as
-   :class:`~repro.experiments.runner.ParallelSweepRunner`, at most one
-   worker per missing shard), persisting each shard **as it completes**
+   from :func:`~repro.utils.pool.worker_pool` (``jobs>1``, validated by
+   :func:`~repro.experiments.runner.check_jobs`, at most one worker per
+   missing shard), persisting each shard **as it completes**
    — an interrupt loses at most the in-flight shards, cancels the queued
    ones, and a re-run resumes from the store;
 3. fold all shard records *in shard order* through the experiment's
@@ -31,6 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.experiments.campaign.spec import Experiment, Shard
 from repro.experiments.campaign.store import ArtifactStore, normalize
+from repro.experiments.runner import check_jobs
 from repro.utils.pool import worker_pool
 from repro.utils.validation import ReproError
 
@@ -145,10 +145,8 @@ def prefetch_shards(
     simulates / survives an interrupted campaign: whatever completed is
     persisted, and a later :func:`run_experiment` resumes from it.
     """
-    from repro.experiments.runner import ParallelSweepRunner
-
     experiment = resolve_experiment(experiment)
-    jobs = ParallelSweepRunner(jobs=jobs).jobs  # validates / resolves None
+    check_jobs(jobs)
     store = store if store is not None else ArtifactStore()
     shards = experiment.shards()
     missing = [s for s in shards if store.load_shard(experiment, s.key) is None]
@@ -166,10 +164,8 @@ def run_experiment(
     use_cache: bool = True,
 ) -> CampaignRunReport:
     """Execute one experiment through the cache and render its artifact."""
-    from repro.experiments.runner import ParallelSweepRunner
-
     experiment = resolve_experiment(experiment)
-    jobs = ParallelSweepRunner(jobs=jobs).jobs  # validates / resolves None
+    check_jobs(jobs)
     store = store if store is not None else ArtifactStore()
     t0 = time.perf_counter()
 

@@ -2,21 +2,29 @@
 
 These wrap the existing Monte-Carlo machinery
 (:mod:`repro.experiments.config`, :mod:`repro.experiments.runner`) in
-declarative, shardable specs.  A sweep shard is one chunk of trials of
-one sweep point, produced by the exact ``run_trial`` path the figure
-entry points use (same per-point seed derivation, same per-trial RNG
-streams), so campaign output is bit-identical to ``run_sweep`` — the
+declarative, shardable specs.  A sweep or summary shard is one chunk of
+trials of one sweep point, run by the runner's own chunk worker (same
+per-point seed derivation, same per-trial RNG streams) and folded by its
+:func:`~repro.experiments.runner.aggregate_records`, so campaign output
+is bit-identical to ``run_sweep`` and ``summary_statistics`` — the
 wall-clock ``runtime_s`` is dropped at the wire boundary because it can
-never be reproduced and the figure renderings never show it.
+never be reproduced and the renderings never show it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
+from repro.core.power import PowerModel
 from repro.experiments.campaign.spec import Experiment, Shard, chunk_bounds
-from repro.experiments.config import fig7_config, fig8_config, fig9_config
+from repro.experiments.config import (
+    fig7_config,
+    fig8_config,
+    fig9_config,
+    summary_mixture,
+)
+from repro.experiments.figures import summary_from_point
 from repro.experiments.report import sweep_to_text
 from repro.experiments.runner import (
     BEST_KEY,
@@ -25,12 +33,12 @@ from repro.experiments.runner import (
     SweepResult,
     TrialOutcome,
     TrialRecord,
+    _run_trial_chunk,
     aggregate_records,
-    run_trial,
-    warm_platform_caches,
+    point_seed,
 )
 from repro.heuristics.best import PAPER_HEURISTICS
-from repro.utils.rng import spawn_rngs_range
+from repro.mesh.topology import Mesh
 from repro.utils.tables import format_table
 from repro.utils.validation import InvalidParameterError
 
@@ -107,17 +115,18 @@ def _sweep_shard(payload: Tuple) -> List[dict]:
     """Worker: trials ``lo .. hi-1`` of sweep point ``k`` (pure in spec)."""
     figure, panel, xs, trials, seed, k, lo, hi = payload
     cfg = _make_config(figure, panel, trials, tuple(xs), seed)
-    mesh, power = cfg.mesh(), cfg.power_factory()
-    warm_platform_caches(mesh, power)
-    point = cfg.points[k]
-    # same per-point seed decorrelation as ParallelSweepRunner.run_sweep
-    rngs = spawn_rngs_range(cfg.seed * 1_000_003 + k, lo, hi)
-    return [
-        record_to_row(
-            run_trial(mesh, power, point.workload, rng, cfg.heuristics)
+    records = _run_trial_chunk(
+        (
+            cfg.mesh(),
+            cfg.power_factory(),
+            cfg.points[k].workload,
+            point_seed(cfg.seed, k),
+            lo,
+            hi,
+            tuple(cfg.heuristics),
         )
-        for rng in rngs
-    ]
+    )
+    return [record_to_row(rec) for rec in records]
 
 
 @dataclass(frozen=True)
@@ -315,22 +324,27 @@ _SWEEP_PINS = {
 # ----------------------------------------------------------------------
 def _summary_shard(payload: Tuple) -> List[dict]:
     """Worker: summary trials ``lo .. hi-1`` on the full paper roster."""
-    from repro.experiments.figures import _summary_chunk
-
     seed, lo, hi = payload
-    records = _summary_chunk((seed, lo, hi, tuple(PAPER_HEURISTICS)))
-    return [
-        {
-            "rows": {n: [v, pinv] for n, (v, pinv, _rt) in rows.items()},
-            "static": static,
-        }
-        for rows, static in records
-    ]
+    records = _run_trial_chunk(
+        (
+            Mesh(8, 8),
+            PowerModel.kim_horowitz(),
+            summary_mixture(),
+            seed,
+            lo,
+            hi,
+            tuple(PAPER_HEURISTICS),
+        )
+    )
+    return [record_to_row(rec) for rec in records]
 
 
 @dataclass(frozen=True)
 class SummaryExperiment(Experiment):
     """The Section 6.4 headline averages over all instance families."""
+
+    #: 2: shards carry ``record_to_row`` rows, folded by aggregate_records
+    code_version = 2
 
     trials: int = 250
     seed: int = 64
@@ -347,29 +361,17 @@ class SummaryExperiment(Experiment):
         )
 
     def finalize(self, shard_records: List[Any]) -> dict:
-        names = list(PAPER_HEURISTICS) + [BEST_KEY]
-        succ: Dict[str, int] = {n: 0 for n in names}
-        inv: Dict[str, float] = {n: 0.0 for n in names}
-        static_sum, static_cnt = 0.0, 0
-        for rec in (r for chunk in shard_records for r in chunk):
-            for n in names:
-                valid, pinv = rec["rows"][n]
-                succ[n] += int(valid)
-                inv[n] += pinv
-            if rec["static"] is not None:
-                static_sum += rec["static"]
-                static_cnt += 1
-        xy_inv = inv.get("XY", 0.0)
+        point = aggregate_records(
+            [row_to_record(r) for chunk in shard_records for r in chunk],
+            list(PAPER_HEURISTICS) + [BEST_KEY],
+            x=0.0,
+        )
+        s = summary_from_point(point)
         return {
-            "trials": self.trials,
-            "success_ratio": {n: succ[n] / self.trials for n in names},
-            "inverse_vs_xy": {
-                n: (inv[n] / xy_inv if xy_inv > 0 else float("inf"))
-                for n in names
-            },
-            "static_fraction": (
-                static_sum / static_cnt if static_cnt else 0.0
-            ),
+            "trials": s.trials,
+            "success_ratio": s.success_ratio,
+            "inverse_vs_xy": s.inverse_vs_xy,
+            "static_fraction": s.static_fraction,
         }
 
     def render(self, payload: dict) -> str:

@@ -9,15 +9,15 @@ common weight, target length) with the paper's workload parameters:
 * Figure 9 — 100 / 25 / 12 communications with rates ``U(200, 800)`` /
   ``U(100, 3500)`` / ``U(2700, 3300)``; x = target Manhattan length.
 
+The §6.4 summary draws from all of them at once (:func:`summary_mixture`).
+
 The paper averages 50 000 instance draws per plotted point; this harness
-defaults to :func:`default_trials` (override with the ``REPRO_TRIALS``
-environment variable) — see EXPERIMENTS.md for the trial counts behind the
-recorded numbers.
+defaults to :data:`DEFAULT_TRIALS` (pass ``trials=`` to change it) — see
+EXPERIMENTS.md for the trial counts behind the recorded numbers.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
@@ -37,7 +37,7 @@ from repro.workloads.random_uniform import (
 WorkloadFactory = Callable[[Mesh, np.random.Generator], List[Communication]]
 
 #: default Monte-Carlo trials per sweep point (the paper used 50 000)
-_DEFAULT_TRIALS = 60
+DEFAULT_TRIALS = 60
 
 
 # ----------------------------------------------------------------------
@@ -115,20 +115,21 @@ class HotspotFactory:
         return hotspot_pattern(mesh, self.rate, fraction=self.fraction, rng=rng)
 
 
-def default_trials() -> int:
-    """Trials per sweep point; override with ``REPRO_TRIALS``."""
-    raw = os.environ.get("REPRO_TRIALS", "")
-    if not raw:
-        return _DEFAULT_TRIALS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParameterError(
-            f"REPRO_TRIALS must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise InvalidParameterError(f"REPRO_TRIALS must be >= 1, got {value}")
-    return value
+@dataclass(frozen=True)
+class FamilyMixture:
+    """Draw one family uniformly at random, then an instance from it.
+
+    The draw order — the family index, then the family's own draw — is
+    part of the trial's reproducibility contract.
+    """
+
+    families: Tuple[WorkloadFactory, ...]
+
+    def __call__(
+        self, mesh: Mesh, rng: np.random.Generator
+    ) -> List[Communication]:
+        family = self.families[int(rng.integers(len(self.families)))]
+        return family(mesh, rng)
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ _FIG7_PANELS = {
 def fig7_config(
     panel: str,
     *,
-    trials: int | None = None,
+    trials: int = DEFAULT_TRIALS,
     n_values: Sequence[int] | None = None,
     seed: int = 2012,
 ) -> SweepConfig:
@@ -198,7 +199,7 @@ def fig7_config(
         name=f"fig7{panel}-{label}-comms",
         x_label="num_comms",
         points=points,
-        trials=trials if trials is not None else default_trials(),
+        trials=trials,
         seed=seed,
     )
 
@@ -216,7 +217,7 @@ _FIG8_PANELS = {
 def fig8_config(
     panel: str,
     *,
-    trials: int | None = None,
+    trials: int = DEFAULT_TRIALS,
     weights: Sequence[float] | None = None,
     seed: int = 2012,
 ) -> SweepConfig:
@@ -235,7 +236,7 @@ def fig8_config(
         name=f"fig8{panel}-{label}-weight",
         x_label="avg_weight",
         points=points,
-        trials=trials if trials is not None else default_trials(),
+        trials=trials,
         seed=seed,
     )
 
@@ -253,7 +254,7 @@ _FIG9_PANELS = {
 def fig9_config(
     panel: str,
     *,
-    trials: int | None = None,
+    trials: int = DEFAULT_TRIALS,
     lengths: Sequence[int] | None = None,
     seed: int = 2012,
 ) -> SweepConfig:
@@ -273,6 +274,25 @@ def fig9_config(
         name=f"fig9{panel}-{label}-length",
         x_label="avg_length",
         points=points,
-        trials=trials if trials is not None else default_trials(),
+        trials=trials,
         seed=seed,
+    )
+
+
+# ----------------------------------------------------------------------
+# Section 6.4: the mixture of every figure's instance families
+# ----------------------------------------------------------------------
+def summary_mixture() -> FamilyMixture:
+    """One family per Figure 7/8/9 sweep point (115 in all).
+
+    The §6.4 averages are taken "over all the experiments": each trial
+    picks one of these families uniformly and draws its instance there.
+    """
+    return FamilyMixture(
+        tuple(
+            point.workload
+            for config in (fig7_config, fig8_config, fig9_config)
+            for panel in "abc"
+            for point in config(panel).points
+        )
     )

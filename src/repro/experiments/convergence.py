@@ -15,10 +15,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.power import PowerModel
-from repro.core.problem import RoutingProblem
 from repro.experiments.config import WorkloadFactory
+from repro.experiments.runner import run_trial
 from repro.heuristics.base import get_heuristic
-from repro.heuristics.best import best_of_results
+from repro.heuristics.best import PAPER_HEURISTICS
 from repro.mesh.topology import Mesh
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import InvalidParameterError
@@ -76,29 +76,35 @@ def convergence_study(
     """Sample one sweep point and trace how its aggregates converge.
 
     Returns traces for the heuristic's failure ratio and its normalised
-    power inverse (relative to the six-heuristic BEST, skipping instances
-    where BEST fails — the harness convention).
+    power inverse (relative to the BEST of the paper roster plus
+    ``heuristic``, skipping instances where BEST fails — the harness
+    convention).  Every trial is a ``run_trial`` record, so the final
+    means are what :func:`~repro.experiments.runner.run_point` reports
+    for the same workload, seed, trial count and roster.
     """
     if trials < 4:
         raise InvalidParameterError(f"trials must be >= 4, got {trials}")
     mesh = mesh or Mesh(8, 8)
     power = power or PowerModel.kim_horowitz()
-    from repro.heuristics.best import PAPER_HEURISTICS
+    name = get_heuristic(heuristic).name
+    names = list(PAPER_HEURISTICS)
+    if name not in names:
+        names.append(name)
 
-    members = {n: get_heuristic(n) for n in PAPER_HEURISTICS}
-    if heuristic not in members:
-        members[heuristic] = get_heuristic(heuristic)
-
-    failures = np.zeros(trials)
-    norm_inv = np.full(trials, np.nan)  # NaN where BEST failed
-    for k, rng in enumerate(spawn_rngs(seed, trials)):
-        problem = RoutingProblem(mesh, power, workload(mesh, rng))
-        results = {n: h.solve(problem) for n, h in members.items()}
-        res = results[heuristic]
-        failures[k] = 0.0 if res.valid else 1.0
-        best = best_of_results(list(results.values()))
-        if best.valid:
-            norm_inv[k] = res.power_inverse / best.power_inverse
+    records = [
+        run_trial(mesh, power, workload, rng, names)
+        for rng in spawn_rngs(seed, trials)
+    ]
+    failures = np.array(
+        [0.0 if rec.outcomes[name].valid else 1.0 for rec in records]
+    )
+    valid_norm = np.array(
+        [
+            rec.outcomes[name].power_inverse / rec.best_power_inverse
+            for rec in records
+            if rec.best_valid
+        ]
+    )
 
     checkpoints = np.unique(
         np.linspace(max(4, trials // n_checkpoints), trials, n_checkpoints)
@@ -106,7 +112,6 @@ def convergence_study(
         .astype(int)
     )
     traces = [_trace("failure_ratio", failures, checkpoints)]
-    valid_norm = norm_inv[~np.isnan(norm_inv)]
     if valid_norm.size >= 4:
         ck = [min(int(c), valid_norm.size) for c in checkpoints]
         ck = sorted(set(c for c in ck if c >= 2))

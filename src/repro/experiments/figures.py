@@ -3,34 +3,32 @@
 ``fig7a() .. fig9c()`` run the corresponding sweep with the paper's
 parameters; :func:`summary_statistics` reproduces the Section 6.4 averages
 ("XY succeeds only 15% of the times, while XYI and PR succeed respectively
-46% and 50% ...") by sampling instances across the union of the Figure
-7/8/9 distributions.
+46% and 50% ...") as one sweep point over the union of the Figure 7/8/9
+distributions (:func:`~repro.experiments.config.summary_mixture`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from repro.core.power import PowerModel
-from repro.core.problem import RoutingProblem
 from repro.experiments.config import (
-    FixedWeightFactory,
-    LengthTargetedFactory,
-    UniformRandomFactory,
-    default_trials,
+    DEFAULT_TRIALS,
     fig7_config,
     fig8_config,
     fig9_config,
+    summary_mixture,
 )
-from repro.experiments.runner import SweepResult, best_of_results, run_sweep
-from repro.heuristics.base import get_heuristic
+from repro.experiments.runner import (
+    BEST_KEY,
+    PointResult,
+    SweepResult,
+    run_point,
+    run_sweep,
+)
 from repro.heuristics.best import PAPER_HEURISTICS
 from repro.mesh.topology import Mesh
-from repro.utils.rng import spawn_rngs, spawn_rngs_range
-from repro.utils.validation import InvalidParameterError
 
 
 def fig7a(*, jobs: int = 1, **kw) -> SweepResult:
@@ -108,60 +106,20 @@ class SummaryStats:
     mean_runtime_s: Dict[str, float]
 
 
-def _summary_instance_factories():
-    """One workload factory per experiment family of Section 6.
-
-    Built from the picklable dataclass factories so the parallel engine
-    can ship trials to worker processes.
-    """
-    fams = []
-    for lo, hi, ns in (
-        (100.0, 1500.0, range(10, 141, 10)),
-        (100.0, 2500.0, range(5, 71, 5)),
-        (2500.0, 3500.0, range(2, 31, 2)),
-    ):
-        for n in ns:
-            fams.append(UniformRandomFactory(n, lo, hi))
-    for n, ws in ((10, range(200, 3501, 300)), (20, range(200, 3501, 300)), (40, range(200, 1801, 200))):
-        for w in ws:
-            fams.append(FixedWeightFactory(n, float(w)))
-    for n, lo, hi in ((100, 200.0, 800.0), (25, 100.0, 3500.0), (12, 2700.0, 3300.0)):
-        for L in range(2, 15):
-            fams.append(LengthTargetedFactory(n, L, lo, hi))
-    return fams
-
-
-class _SummaryContext:
-    """Everything one summary trial needs, built once per chunk/run."""
-
-    def __init__(self, heuristic_names: Sequence[str]):
-        self.mesh = Mesh(8, 8)
-        self.power = PowerModel.kim_horowitz()
-        self.fams = _summary_instance_factories()
-        self.heuristics = [get_heuristic(n) for n in heuristic_names]
-
-    def trial(self, rng):
-        """One trial: per-heuristic (valid, 1/P, runtime) rows + BEST."""
-        fam = self.fams[int(rng.integers(len(self.fams)))]
-        problem = RoutingProblem(self.mesh, self.power, fam(self.mesh, rng))
-        for h in self.heuristics:
-            h.reseed(rng)
-        results = [h.solve(problem) for h in self.heuristics]
-        best = best_of_results(results)
-        rows = {
-            res.name: (res.valid, res.power_inverse, res.runtime_s)
-            for res in results
-        }
-        rows["BEST"] = (best.valid, best.power_inverse, best.runtime_s)
-        static = best.report.static_fraction if best.valid else None
-        return rows, static
-
-
-def _summary_chunk(payload):
-    """Worker entry point: summary trials ``lo .. hi-1`` (pure in seed, i)."""
-    seed, lo, hi, heuristic_names = payload
-    ctx = _SummaryContext(heuristic_names)
-    return [ctx.trial(rng) for rng in spawn_rngs_range(seed, lo, hi)]
+def summary_from_point(point: PointResult) -> SummaryStats:
+    """Read the §6.4 numbers off the summary's sweep point."""
+    stats = point.stats
+    xy_inv = stats["XY"].mean_power_inverse if "XY" in stats else 0.0
+    return SummaryStats(
+        trials=stats[BEST_KEY].trials,
+        success_ratio={n: st.success_ratio for n, st in stats.items()},
+        inverse_vs_xy={
+            n: (st.mean_power_inverse / xy_inv if xy_inv > 0 else float("inf"))
+            for n, st in stats.items()
+        },
+        static_fraction=stats[BEST_KEY].mean_static_fraction,
+        mean_runtime_s={n: st.mean_runtime_s for n, st in stats.items()},
+    )
 
 
 def summary_statistics(
@@ -174,53 +132,19 @@ def summary_statistics(
 
     Each trial draws a uniformly random experiment family (a Figure 7/8/9
     sweep point) and then an instance from it — the closest tractable
-    analogue of the paper's "averaging over all the experiments".
-    ``jobs > 1`` fans trial chunks out to worker processes with the same
-    per-index seeding and in-order aggregation as the sweep runner, so the
-    statistics match the serial run exactly (runtimes excepted).
+    analogue of the paper's "averaging over all the experiments".  The
+    trials form one :func:`~repro.experiments.runner.run_point` sweep
+    point on the 8x8 mesh, so ``jobs`` behaves as it does for the
+    figure sweeps.  ``trials`` defaults to ten times the per-point
+    budget: the mixture spans 115 families.
     """
-    trials = trials if trials is not None else 10 * default_trials()
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    names = [get_heuristic(n).name for n in heuristic_names] + ["BEST"]
-
-    if jobs == 1:
-        ctx = _SummaryContext(tuple(heuristic_names))
-        records = [ctx.trial(rng) for rng in spawn_rngs(seed, trials)]
-    else:
-        from repro.experiments.runner import ParallelSweepRunner, map_trial_chunks
-
-        runner = ParallelSweepRunner(jobs=jobs)  # validates/resolves jobs
-        names_t = tuple(heuristic_names)
-        (records,) = map_trial_chunks(
-            _summary_chunk,
-            [(lambda lo, hi: (seed, lo, hi, names_t), trials)],
-            runner.jobs,
-        )
-
-    succ = {n: 0 for n in names}
-    inv = {n: 0.0 for n in names}
-    runtime = {n: 0.0 for n in names}
-    static_sum = 0.0
-    static_cnt = 0
-    for rows, static in records:
-        for n in names:
-            valid, pinv, rt = rows[n]
-            succ[n] += int(valid)
-            inv[n] += pinv
-            runtime[n] += rt
-        if static is not None:
-            static_sum += static
-            static_cnt += 1
-
-    xy_inv = inv.get("XY", 0.0)
-    inverse_vs_xy = {
-        n: (inv[n] / xy_inv if xy_inv > 0 else float("inf")) for n in names
-    }
-    return SummaryStats(
-        trials=trials,
-        success_ratio={n: succ[n] / trials for n in names},
-        inverse_vs_xy=inverse_vs_xy,
-        static_fraction=(static_sum / static_cnt if static_cnt else 0.0),
-        mean_runtime_s={n: runtime[n] / trials for n in names},
+    point = run_point(
+        Mesh(8, 8),
+        PowerModel.kim_horowitz(),
+        summary_mixture(),
+        trials if trials is not None else 10 * DEFAULT_TRIALS,
+        seed,
+        heuristic_names,
+        jobs=jobs,
     )
+    return summary_from_point(point)

@@ -17,22 +17,23 @@ Section 6:
 Execution engines
 -----------------
 
-The **serial** path (``jobs=1``, the default and the reference) runs the
-trials in-process.  The **parallel** path
-(:class:`ParallelSweepRunner`, or ``jobs > 1`` on :func:`run_point` /
-:func:`run_sweep`) cuts every sweep point into contiguous trial chunks
-and sends the chunks of *all* points to one process pool per call
-(:func:`map_trial_chunks`): every chunk is in flight at once, so the
-slow chunks of one point overlap the next points' work instead of
-holding a barrier at the end of each point.  Each point is folded as
-soon as its last chunk is back and its records are dropped, so memory
-stays bounded by the points in flight.  Both paths produce one
+:func:`run_point` and :func:`run_sweep` take ``jobs``, an ``int`` >= 1
+(:func:`check_jobs`).  ``jobs=1``, the default and the reference, runs
+the trials in-process.  ``jobs > 1`` cuts every sweep point into
+contiguous trial chunks and sends the chunks of *all* points to one
+process pool per call (:func:`map_trial_chunks`): every chunk is in
+flight at once, so the slow chunks of one point overlap the next points'
+work instead of holding a barrier at the end of each point.  Each point
+is folded as soon as its last chunk is back and its records are dropped,
+so memory stays bounded by the points in flight.  Both paths produce one
 :class:`TrialRecord` per trial — the i-th trial's RNG is a pure function
 of ``(seed, i)`` through :func:`repro.utils.rng.spawn_rngs`, regardless of
 which worker runs it — and feed each point's records *in trial order*
 through the same :func:`aggregate_records` fold, so serial and parallel
 sweeps are bit-identical on every statistic except the (inherently
-wall-clock) ``mean_runtime_s``.
+wall-clock) ``mean_runtime_s``.  The §6.4 summary, the campaign's sweep
+and summary shards and the convergence study run this same trial path
+and fold.
 
 Parallel execution requires the workload factory (and the mesh/power
 objects) to be picklable; the factories in
@@ -42,10 +43,9 @@ reason.  Lambdas/closures still work on the serial path.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -318,6 +318,19 @@ def _expand_names(heuristic_names: Sequence[str]) -> List[str]:
     return [h.name for h in heuristics] + [BEST_KEY]
 
 
+def check_jobs(jobs: int) -> None:
+    """Reject a worker-process count that is not an ``int`` >= 1."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise InvalidParameterError(
+            f"jobs must be an integer >= 1, got {jobs!r}"
+        )
+
+
+def point_seed(seed: int, k: int) -> int:
+    """Seed of sweep point ``k``: decorrelates the points of one sweep."""
+    return seed * 1_000_003 + k
+
+
 # ----------------------------------------------------------------------
 # parallel engine
 # ----------------------------------------------------------------------
@@ -360,8 +373,8 @@ def _point_payload(mesh, power, workload, seed: int, names: Tuple[str, ...]):
 def map_trial_chunks(worker, groups, jobs: int) -> Iterator[List]:
     """Run groups of trial chunks on one process pool, yielding per group.
 
-    The single scheduler behind every parallel Monte-Carlo entry point
-    (sweep points, the §6.4 summary).  ``groups`` holds one
+    The single scheduler behind every parallel sweep, the §6.4 summary
+    included.  ``groups`` holds one
     ``(make_payload, trials)`` pair per point: ``worker`` is a picklable
     module-level callable, ``make_payload(lo, hi)`` builds its argument
     for trials ``lo .. hi-1``, and each worker call returns one record
@@ -386,118 +399,38 @@ def map_trial_chunks(worker, groups, jobs: int) -> Iterator[List]:
             yield [record for chunk in islice(chunks, size) for record in chunk]
 
 
-def default_jobs() -> int:
-    """Worker count for ``jobs=None``; ``REPRO_JOBS`` overrides cpu count."""
-    raw = os.environ.get("REPRO_JOBS", "")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidParameterError(
-                f"REPRO_JOBS must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise InvalidParameterError(f"REPRO_JOBS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
-class ParallelSweepRunner:
-    """Chunked multi-process Monte-Carlo engine.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes.  ``None`` uses :func:`default_jobs` (the CPU
-        count, overridable with ``REPRO_JOBS``); ``1`` degenerates to the
-        serial reference path in-process.
-
-    Notes
-    -----
-    Trials are seeded per-index through
-    :func:`~repro.utils.rng.spawn_rngs` and aggregated in trial order by
-    :func:`aggregate_records`, so for a fixed ``(config, seed)`` the
-    runner's output matches the serial runner exactly on every statistic
-    except ``mean_runtime_s`` (wall-clock is not deterministic under any
-    engine).  Workload factories must be picklable — the dataclass
-    factories of :mod:`repro.experiments.config` are.
-    """
-
-    def __init__(self, jobs: Optional[int] = None):
-        if jobs is not None and jobs < 1:
-            raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs if jobs is not None else default_jobs()
-
-    # ------------------------------------------------------------------
-    def run_point(
-        self,
-        mesh: Mesh,
-        power: PowerModel,
-        workload: WorkloadFactory,
-        trials: int,
-        seed: int,
-        heuristic_names: Sequence[str],
-        x: float = 0.0,
-    ) -> PointResult:
-        """Parallel equivalent of :func:`run_point`."""
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        (point,) = self._run_points(
-            mesh, power, heuristic_names, [(workload, trials, seed, x)]
-        )
-        return point
-
-    def run_sweep(self, config: SweepConfig) -> SweepResult:
-        """Parallel equivalent of :func:`run_sweep`."""
-        points = self._run_points(
-            config.mesh(),
-            config.power_factory(),
-            config.heuristics,
-            [
-                # decorrelate points while keeping the sweep reproducible
-                (point.workload, config.trials, config.seed * 1_000_003 + k,
-                 point.x)
-                for k, point in enumerate(config.points)
-            ],
-        )
-        return SweepResult(
-            name=config.name,
-            x_label=config.x_label,
-            heuristics=tuple(config.heuristics),
-            points=tuple(points),
-        )
-
-    def _run_points(
-        self,
-        mesh: Mesh,
-        power: PowerModel,
-        heuristic_names: Sequence[str],
-        points: Sequence[Tuple[WorkloadFactory, int, int, float]],
-    ) -> List[PointResult]:
-        """Run ``(workload, trials, seed, x)`` points, all on one pool."""
-        names = _expand_names(heuristic_names)
-        members = tuple(names[:-1])
-        if self.jobs == 1:
-            warm_platform_caches(mesh, power)
-            return [
-                aggregate_records(
-                    _run_trials(
-                        mesh, power, workload, spawn_rngs(seed, trials), members
-                    ),
-                    names,
-                    x,
-                )
-                for workload, trials, seed, x in points
-            ]
-        groups = [
-            (_point_payload(mesh, power, workload, seed, members), trials)
-            for workload, trials, seed, _ in points
-        ]
-        chunked = map_trial_chunks(_run_trial_chunk, groups, self.jobs)
+def _run_points(
+    mesh: Mesh,
+    power: PowerModel,
+    heuristic_names: Sequence[str],
+    points: Sequence[Tuple[WorkloadFactory, int, int, float]],
+    jobs: int,
+) -> List[PointResult]:
+    """Run ``(workload, trials, seed, x)`` points, all on one pool."""
+    check_jobs(jobs)
+    names = _expand_names(heuristic_names)
+    members = tuple(names[:-1])
+    if jobs == 1:
+        warm_platform_caches(mesh, power)
         return [
-            aggregate_records(records, names, x)
-            for records, (_, _, _, x) in zip(chunked, points)
+            aggregate_records(
+                _run_trials(
+                    mesh, power, workload, spawn_rngs(seed, trials), members
+                ),
+                names,
+                x,
+            )
+            for workload, trials, seed, x in points
         ]
+    groups = [
+        (_point_payload(mesh, power, workload, seed, members), trials)
+        for workload, trials, seed, _ in points
+    ]
+    chunked = map_trial_chunks(_run_trial_chunk, groups, jobs)
+    return [
+        aggregate_records(records, names, x)
+        for records, (_, _, _, x) in zip(chunked, points)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -515,14 +448,32 @@ def run_point(
 ) -> PointResult:
     """Run ``trials`` independent instances of one sweep point.
 
-    ``jobs=1`` (default) runs serially in-process; ``jobs > 1`` delegates
-    to :class:`ParallelSweepRunner` with identical aggregation.
+    ``jobs=1`` (default) runs serially in-process; ``jobs > 1`` runs the
+    trial chunks on a process pool with identical aggregation.
     """
-    return ParallelSweepRunner(jobs=jobs).run_point(
-        mesh, power, workload, trials, seed, heuristic_names, x=x
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    (point,) = _run_points(
+        mesh, power, heuristic_names, [(workload, trials, seed, x)], jobs
     )
+    return point
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run every point of a sweep configuration (serial unless ``jobs>1``)."""
-    return ParallelSweepRunner(jobs=jobs).run_sweep(config)
+    points = _run_points(
+        config.mesh(),
+        config.power_factory(),
+        config.heuristics,
+        [
+            (point.workload, config.trials, point_seed(config.seed, k), point.x)
+            for k, point in enumerate(config.points)
+        ],
+        jobs,
+    )
+    return SweepResult(
+        name=config.name,
+        x_label=config.x_label,
+        heuristics=tuple(config.heuristics),
+        points=tuple(points),
+    )

@@ -87,39 +87,6 @@ class Heuristic(abc.ABC):
             runtime_s=elapsed,
         )
 
-    def solve_from(
-        self, problem: RoutingProblem, moves: Sequence[str]
-    ) -> HeuristicResult:
-        """Route ``problem`` warm-started from an existing 1-MP routing.
-
-        ``moves`` is one move string per communication, in problem order —
-        typically a previous solution of a perturbed variant of
-        ``problem``, re-matched by the service layer.  Heuristics that can
-        exploit a warm seed override :meth:`_route_from` (SA and TABU run
-        their search from the given state instead of their ``init``
-        heuristic's routing); the default ignores the seed and solves
-        cold, so ``solve_from`` is always safe to call.
-        """
-        if problem.num_comms == 0:
-            raise InvalidParameterError(
-                f"{self.name}: cannot route an empty communication set"
-            )
-        if len(moves) != problem.num_comms:
-            raise InvalidParameterError(
-                f"{self.name}: warm start needs {problem.num_comms} move "
-                f"strings, got {len(moves)}"
-            )
-        t0 = time.perf_counter()
-        paths = self._route_from(problem, [str(m) for m in moves])
-        elapsed = time.perf_counter() - t0
-        routing = Routing.single_path(problem, paths)
-        return HeuristicResult(
-            name=self.name,
-            routing=routing,
-            report=evaluate_routing(routing),
-            runtime_s=elapsed,
-        )
-
     @abc.abstractmethod
     def _route(self, problem: RoutingProblem) -> List[Path]:
         """Produce one Manhattan path per communication, in problem order."""
@@ -127,7 +94,15 @@ class Heuristic(abc.ABC):
     def _route_from(
         self, problem: RoutingProblem, moves: List[str]
     ) -> List[Path]:
-        """Warm-start hook; the default ignores ``moves`` and solves cold."""
+        """Route ``problem`` warm-started from an existing 1-MP routing.
+
+        ``moves`` is one move string per communication, in problem order —
+        typically a previous solution of a perturbed variant of
+        ``problem``, re-matched by the service layer.  Heuristics that can
+        exploit a warm seed override this (SA and TABU run their search
+        from the given state instead of their ``init`` heuristic's
+        routing); the default ignores ``moves`` and solves cold.
+        """
         return self._route(problem)
 
     def reseed(self, rng) -> None:

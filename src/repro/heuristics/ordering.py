@@ -6,19 +6,10 @@ tried and found worse.  The orderings are exposed here so the
 ``ablation_ordering`` campaign experiment can reproduce that claim.
 """
 
-from __future__ import annotations
-
-from typing import List
-
-from repro.core.problem import RoutingProblem
-
-#: orderings understood by :meth:`RoutingProblem.order_by`
+#: orderings understood by
+#: :meth:`~repro.core.problem.RoutingProblem.order_by`
 ORDERINGS = ("weight", "length", "density", "input")
 
 #: the paper's default
 DEFAULT_ORDERING = "weight"
 
-
-def processing_order(problem: RoutingProblem, key: str = DEFAULT_ORDERING) -> List[int]:
-    """Indices of the communications in processing order (see ORDERINGS)."""
-    return problem.order_by(key)

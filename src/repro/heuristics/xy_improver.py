@@ -91,7 +91,7 @@ class XYImprover(Heuristic):
         return self._descend_paths(problem, self._starting_moves(problem))
 
     def _route_from(self, problem: RoutingProblem, moves: List[str]) -> List[Path]:
-        # warm entry (Heuristic.solve_from): the descent is start-agnostic,
+        # warm entry (Heuristic._route_from): the descent is start-agnostic,
         # so it serves as a relocation *polish* of any single-path routing —
         # the service's warm-start repair seeds it with the repaired
         # previous routing, where it converges in a handful of moves

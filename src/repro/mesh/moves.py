@@ -185,11 +185,3 @@ def bends(moves: str) -> int:
     """Number of direction changes along the move string."""
     return sum(1 for a, b in zip(moves, moves[1:]) if a != b)
 
-
-def segment_between(moves: str, lo: int, hi: int) -> str:
-    """Sub-string of moves in positions ``[lo, hi)`` with bounds checking."""
-    if not (0 <= lo <= hi <= len(moves)):
-        raise InvalidParameterError(
-            f"segment [{lo}, {hi}) out of bounds for {len(moves)} moves"
-        )
-    return moves[lo:hi]

@@ -17,10 +17,9 @@ Tier selection is explicit and observable through ``REPRO_NATIVE``:
 * ``0`` — force the Python tier even when the module is available.
 
 Anything else raises :class:`~repro.utils.validation.
-InvalidParameterError`, mirroring the ``REPRO_TRIALS`` / ``REPRO_JOBS``
-conventions.  The variable is re-read on every tier decision so tests (and
-benches) can flip tiers per call; the expensive load/build itself is
-memoised per process.
+InvalidParameterError`.  The variable is re-read on every tier decision
+so tests (and benches) can flip tiers per call; the expensive load/build
+itself is memoised per process.
 
 Even on the native tier the *random draws stay in Python*: the C stream
 consumes raw PCG64 words refilled through a callback into
@@ -80,13 +79,6 @@ _FALLBACK_NOTICED = False
 
 def _package_dir() -> Path:
     return Path(__file__).resolve().parent
-
-
-def _module_filename() -> str:
-    import importlib.machinery
-
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    return f"_native{suffix}"
 
 
 #: ``.native-build-*`` dirs older than this are orphans of a killed

@@ -157,6 +157,3 @@ class SimulationReport:
     total_delivered_flits: int
     deadlocked: bool
     packets: Tuple[PacketRecord, ...] = ()  #: empty unless collected
-
-    def utilization_of(self, lid: int) -> float:
-        return float(self.link_utilization[lid])

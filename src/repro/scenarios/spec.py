@@ -11,7 +11,7 @@ demand with :meth:`MeshSpec.build`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -138,13 +138,6 @@ class MeshSpec:
             float(factor),
         )
         return cls(p, q, scale_rects=(rect,))
-
-    @classmethod
-    def with_duplex_faults(
-        cls, p: int, q: int, adjacencies: Iterable[Tuple[Coord, Coord]]
-    ) -> "MeshSpec":
-        """Kill both directions of each listed adjacency."""
-        return cls(p, q, dead_links=duplex(*adjacencies))
 
     def describe(self) -> str:
         """One-line human summary (used by ``repro scenarios list``)."""

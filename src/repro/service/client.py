@@ -22,12 +22,11 @@ one-shot client:
 
 from __future__ import annotations
 
-import itertools
 import json
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.service.resilience import (
     RETRYABLE_STATUSES,
@@ -47,7 +46,7 @@ READY_POLICY = RetryPolicy(
 
 
 class _Conn:
-    """One keep-alive connection slot of a :class:`ServiceClient`."""
+    """The keep-alive connection of a :class:`ServiceClient`."""
 
     __slots__ = ("sock", "rfile", "lock")
 
@@ -80,15 +79,10 @@ class ServiceClient:
         The :class:`RetryPolicy` for transient failures (connection
         errors, truncated responses, HTTP 429/503/504).  ``None``
         disables retries — every failure surfaces immediately.
-    pool_size:
-        Keep-alive connections to round-robin requests over.  The
-        default ``1`` is the classic single-connection client;
-        ``N > 1`` makes the client safe and non-serializing for up to
-        N concurrent callers (each request exclusively holds one
-        connection for its exchange) — how the prefork tests reach
-        every shard through one client object.  The retry
-        contract is per-request and unchanged; a transport failure
-        drops only the connection it happened on.
+
+    The client holds one keep-alive connection.  Concurrent callers are
+    safe but take turns on it; give each thread its own client to send
+    requests in parallel.
     """
 
     def __init__(
@@ -99,22 +93,13 @@ class ServiceClient:
         socket_path: Optional[str] = None,
         timeout: float = 120.0,
         retry: Optional[RetryPolicy] = RetryPolicy(),
-        pool_size: int = 1,
     ):
-        if isinstance(pool_size, bool) or not isinstance(pool_size, int) \
-                or pool_size < 1:
-            raise ReproError(
-                f"pool_size must be an integer >= 1, got {pool_size!r}"
-            )
         self.host = host
         self.port = int(port)
         self.socket_path = socket_path
         self.timeout = float(timeout)
         self.retry = retry
-        self.pool_size = pool_size
-        self._conns: List[_Conn] = [_Conn() for _ in range(pool_size)]
-        self._rr = itertools.count()
-        self._count_lock = threading.Lock()
+        self._conn = _Conn()
         #: connections opened over this client's lifetime (observability:
         #: keep-alive reuse means this stays far below the request count)
         self.connections_opened = 0
@@ -129,14 +114,12 @@ class ServiceClient:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
-        with self._count_lock:
-            self.connections_opened += 1
+        self.connections_opened += 1
         return sock
 
     def close(self) -> None:
-        """Drop every kept-alive connection (reopened on next use)."""
-        for conn in self._conns:
-            conn.drop()
+        """Drop the kept-alive connection (reopened on next use)."""
+        self._conn.drop()
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -148,12 +131,11 @@ class ServiceClient:
     def _request_once(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, str], bytes]:
-        """One request over the next round-robin connection → (status,
-        headers, payload).  Raises ``OSError`` /
-        ``TruncatedResponseError`` on transport trouble (the failed
-        connection is dropped first); the caller decides whether to
-        retry."""
-        conn = self._conns[next(self._rr) % self.pool_size]
+        """One request over the kept-alive connection → (status, headers,
+        payload).  Raises ``OSError`` / ``TruncatedResponseError`` on
+        transport trouble (the failed connection is dropped first); the
+        caller decides whether to retry."""
+        conn = self._conn
         with conn.lock:
             try:
                 return self._exchange(conn, method, path, body)

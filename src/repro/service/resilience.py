@@ -31,7 +31,6 @@ which is how the CI chaos smoke injects a worker crash into a stock
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass
@@ -96,7 +95,6 @@ class FaultPlan:
 
         FaultPlan([FaultSpec(3, "crash"), FaultSpec(5, "delay", 0.2)])
         FaultPlan.parse("crash@3,delay@5:0.2,drop@7")
-        FaultPlan.parse('[{"index": 3, "kind": "crash"}]')   # JSON form
         FaultPlan.from_env()                                  # REPRO_FAULTS
     """
 
@@ -136,38 +134,15 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
-        """Build a plan from the compact or the JSON wire form.
+        """Build a plan from its wire form.
 
-        Compact: comma-separated ``kind@index[:seconds]`` items, e.g.
-        ``"crash@3,delay@5:0.2,drop@7"``.  JSON: a list of objects with
-        ``index`` / ``kind`` / optional ``seconds`` keys.  An empty or
-        whitespace-only string is the empty plan.
+        Comma-separated ``kind@index[:seconds]`` items, e.g.
+        ``"crash@3,delay@5:0.2,drop@7"``.  An empty or whitespace-only
+        string is the empty plan.
         """
         text = text.strip()
         if not text:
             return cls()
-        if text.startswith("["):
-            try:
-                items = json.loads(text)
-            except ValueError as exc:
-                raise ReproError(f"fault plan is not valid JSON: {exc}") from None
-            if not isinstance(items, list):
-                raise ReproError("JSON fault plan must be a list of objects")
-            specs = []
-            for item in items:
-                if not isinstance(item, dict) or "kind" not in item:
-                    raise ReproError(
-                        "each JSON fault needs at least 'index' and 'kind', "
-                        f"got {item!r}"
-                    )
-                specs.append(
-                    FaultSpec(
-                        index=item.get("index", -1),
-                        kind=str(item["kind"]),
-                        seconds=float(item.get("seconds", 0.0)),
-                    )
-                )
-            return cls(specs)
         specs = []
         for part in text.split(","):
             part = part.strip()

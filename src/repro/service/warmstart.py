@@ -17,8 +17,8 @@ the repair pipeline
    (:meth:`~repro.heuristics.local_moves.RoutingState.reroute_greedy`),
 4. **polishes** the repaired seed.  The default ``"anneal"`` polish runs
    a short fixed-budget Metropolis burst
-   (:class:`~repro.heuristics.annealing.SimulatedAnnealing` via
-   ``solve_from``) and then descends to a joint fixed point of the
+   (:class:`~repro.heuristics.annealing.SimulatedAnnealing` via its
+   ``_route_from`` warm entry) and then descends to a joint fixed point of the
    corner-flip descent (:func:`~repro.heuristics.local_moves.descend`)
    and XYI's corner-relocation descent
    (:meth:`XYImprover._route_from

@@ -18,10 +18,6 @@ class InvalidParameterError(ReproError, ValueError):
     """A user-supplied parameter is out of its documented domain."""
 
 
-class InfeasibleRoutingError(ReproError):
-    """Raised when an exact solver proves that no valid routing exists."""
-
-
 def check_positive(name: str, value: float, *, strict: bool = True) -> None:
     """Raise unless ``value`` is positive (strictly, by default).
 

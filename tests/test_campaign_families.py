@@ -82,3 +82,21 @@ def test_family_end_to_end_mini(name, tmp_path):
         exp.verify(report.payload)
     except AssertionError:
         assert overrides is not None, f"{name}: full-scale pins failed"
+
+
+def test_campaign_summary_is_the_library_summary(tmp_path):
+    """The §6.4 campaign shards and ``summary_statistics`` are one
+    computation: the same trial records through the same fold."""
+    from repro.experiments import summary_statistics
+
+    exp = replace(get_experiment("summary_6_4"), trials=6, chunk=2)
+    assert exp.seed == 64
+    payload = run_experiment(
+        exp, store=ArtifactStore(tmp_path), use_cache=False
+    ).payload
+    lib = summary_statistics(trials=6, seed=64)
+    for key in ("success_ratio", "inverse_vs_xy"):
+        assert {n: v.hex() for n, v in payload[key].items()} == {
+            n: v.hex() for n, v in getattr(lib, key).items()
+        }, key
+    assert payload["static_fraction"].hex() == lib.static_fraction.hex()

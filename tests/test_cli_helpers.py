@@ -103,6 +103,15 @@ class TestCliErrorPaths:
             "--trials must be >= 1, got -2",
         )
 
+    def test_figures_summary_rejects_svg_dir(self, capsys, tmp_path):
+        charts = tmp_path / "charts"
+        self._expect(
+            ["figures", "summary", "--svg-dir", str(charts)],
+            capsys,
+            "--svg-dir",
+        )
+        assert not charts.exists()
+
     def test_scenarios_bad_trials(self, capsys):
         self._expect(
             ["scenarios", "run", "paper-baseline", "--trials", "0"],

@@ -7,7 +7,6 @@ from repro import Mesh, PowerModel
 from repro.experiments import (
     SweepConfig,
     SweepPoint,
-    default_trials,
     fig7_config,
     fig8_config,
     fig9_config,
@@ -23,18 +22,6 @@ from repro.workloads import uniform_random_workload
 
 
 class TestConfigs:
-    def test_default_trials_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRIALS", "17")
-        assert default_trials() == 17
-        monkeypatch.setenv("REPRO_TRIALS", "zero")
-        with pytest.raises(InvalidParameterError):
-            default_trials()
-        monkeypatch.setenv("REPRO_TRIALS", "0")
-        with pytest.raises(InvalidParameterError):
-            default_trials()
-        monkeypatch.delenv("REPRO_TRIALS")
-        assert default_trials() >= 1
-
     def test_fig7_parameters_match_paper(self):
         cfg = fig7_config("a", trials=5)
         assert cfg.mesh_shape == (8, 8)

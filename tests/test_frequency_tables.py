@@ -151,6 +151,29 @@ class TestConvergence:
             # CI half-widths shrink (weakly) with more trials
             assert t.half_widths[-1] <= t.half_widths[0] + 1e-9
 
+    def test_final_means_are_the_sweep_point(self):
+        """A stochastic member (SA) is reseeded per trial exactly as in
+        ``run_point``, so the traces end on the point's aggregates."""
+        from repro.experiments import UniformRandomFactory, run_point
+        from repro.experiments.convergence import convergence_study
+        from repro.heuristics.best import PAPER_HEURISTICS
+
+        workload = UniformRandomFactory(20, 100.0, 2500.0)
+        traces = {
+            t.name: t
+            for t in convergence_study(workload, "SA", trials=8, seed=5)
+        }
+        sa = run_point(
+            Mesh(8, 8), PowerModel.kim_horowitz(), workload, 8, 5,
+            tuple(PAPER_HEURISTICS) + ("SA",),
+        ).stats["SA"]
+        assert traces["failure_ratio"].means[-1] == pytest.approx(
+            sa.failure_ratio, abs=1e-12
+        )
+        assert traces["norm_power_inverse"].means[-1] == pytest.approx(
+            sa.norm_power_inverse, abs=1e-12
+        )
+
     def test_stable_from(self):
         from repro.experiments.convergence import ConvergenceTrace
 

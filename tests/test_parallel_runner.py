@@ -17,12 +17,10 @@ import pytest
 
 from repro import Communication, Mesh, PowerModel, RoutingProblem
 from repro.experiments import (
-    ParallelSweepRunner,
     SweepConfig,
     SweepPoint,
     UniformRandomFactory,
     aggregate_records,
-    default_jobs,
     run_point,
     run_sweep,
     run_trial,
@@ -208,21 +206,14 @@ class TestPlumbing:
                 covered = [i for lo, hi in bounds for i in range(lo, hi)]
                 assert covered == list(range(trials))
 
-    def test_runner_rejects_bad_jobs(self):
-        with pytest.raises(InvalidParameterError):
-            ParallelSweepRunner(jobs=0)
-
-    def test_default_jobs_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert default_jobs() == 5
-        monkeypatch.setenv("REPRO_JOBS", "zero")
-        with pytest.raises(InvalidParameterError):
-            default_jobs()
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.raises(InvalidParameterError):
-            default_jobs()
-        monkeypatch.delenv("REPRO_JOBS")
-        assert default_jobs() >= 1
+    def test_runner_rejects_bad_jobs(self, point_args):
+        """``jobs`` is an ``int`` >= 1: no ``None``, no ``bool``."""
+        mesh, power, workload = point_args
+        for bad in (0, -2, None, True, 1.5, "2"):
+            with pytest.raises(InvalidParameterError, match="jobs must be"):
+                run_point(mesh, power, workload, 1, 7, ("XY",), jobs=bad)
+            with pytest.raises(InvalidParameterError, match="jobs must be"):
+                run_sweep(_small_sweep(points=1, trials=1), jobs=bad)
 
     def test_workload_factories_picklable(self):
         import pickle
@@ -231,6 +222,7 @@ class TestPlumbing:
             FixedWeightFactory,
             LengthTargetedFactory,
         )
+        from repro.experiments.config import summary_mixture
 
         mesh = Mesh(8, 8)
         rng = np.random.default_rng(0)
@@ -238,6 +230,7 @@ class TestPlumbing:
             UniformRandomFactory(5, 100.0, 900.0),
             FixedWeightFactory(4, 500.0),
             LengthTargetedFactory(6, 4, 100.0, 900.0),
+            summary_mixture(),
         ):
             clone = pickle.loads(pickle.dumps(factory))
             assert clone == factory

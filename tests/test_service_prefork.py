@@ -1,4 +1,4 @@
-"""Prefork front: stats board, client connection pool, live shard fleet.
+"""Prefork front: stats board, the client's connection, live shard fleet.
 
 The live tests drive ``repro serve --shards 2`` as a real subprocess
 (fork + SO_REUSEPORT need a process of their own), kill a shard to
@@ -14,6 +14,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -70,30 +71,27 @@ class TestStatsBoard:
 
 # ----------------------------------------------------------------------
 class TestClientPool:
-    def test_pool_size_validation(self):
-        for bad in (0, -1, 1.5, True, "many"):
-            with pytest.raises(ReproError, match="pool_size"):
-                ServiceClient(pool_size=bad)
-
-    def test_single_connection_default_unchanged(self, tmp_path):
-        client = ServiceClient()
-        assert client.pool_size == 1
-        assert len(client._conns) == 1
-
-    def test_round_robin_opens_each_slot(self):
+    def test_single_connection_default_unchanged(self):
+        """Threads sharing one client take turns on its one connection."""
         from tests.test_service_server import _LiveServer
 
         with _LiveServer(use_cache=False) as live:
-            client = ServiceClient("127.0.0.1", live.port, pool_size=3)
+            client = ServiceClient("127.0.0.1", live.port)
             client.wait_ready()
-            for _ in range(6):
-                assert client.health()["ok"]
-            # 7 requests round-robined over 3 slots: every slot opened
-            # exactly once, then was reused keep-alive
-            assert client.connections_opened == 3
+            answers = []
+
+            def poll():
+                for _ in range(3):
+                    answers.append(client.health()["ok"])
+
+            threads = [threading.Thread(target=poll) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert answers == [True] * 12
+            assert client.connections_opened == 1
             client.close()
-            assert client.health()["ok"]
-            assert client.connections_opened == 4  # one slot reopened
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +133,7 @@ class TestLiveFleet:
         proc, port = _spawn_fleet()
         try:
             client = ServiceClient(
-                "127.0.0.1", port, pool_size=2,
-                retry=RetryPolicy(seed=11),
+                "127.0.0.1", port, retry=RetryPolicy(seed=11)
             )
             client.wait_ready()
             doc = request_doc(small_problem(), cache=False)

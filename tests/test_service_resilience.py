@@ -46,14 +46,6 @@ class TestFaultPlan:
         assert [s.index for s in plan.specs] == [3, 5, 7]
         assert plan.specs[1].seconds == 0.2
 
-    def test_parse_json(self):
-        plan = FaultPlan.parse(
-            '[{"index": 1, "kind": "delay", "seconds": 0.5},'
-            ' {"index": 0, "kind": "crash"}]'
-        )
-        assert [s.index for s in plan.specs] == [0, 1]
-        assert plan.specs[1].seconds == 0.5
-
     def test_parse_empty_and_env(self):
         assert not FaultPlan.parse("")
         assert not FaultPlan.from_env(env={})

@@ -252,13 +252,13 @@ class TestLiveServer:
         for jobs in (1, 2):
             got = [None] * len(docs)
             with _LiveServer(jobs=jobs, use_cache=False) as live:
-                client = ServiceClient(
-                    "127.0.0.1", live.port, pool_size=len(docs)
-                )
-                client.wait_ready()
+                with ServiceClient("127.0.0.1", live.port) as client:
+                    client.wait_ready()
 
                 def route(i):
-                    got[i] = client.route(docs[i])
+                    # one client per thread: the requests run concurrently
+                    with ServiceClient("127.0.0.1", live.port) as client:
+                        got[i] = client.route(docs[i])
 
                 threads = [
                     threading.Thread(target=route, args=(i,))
@@ -268,7 +268,6 @@ class TestLiveServer:
                     t.start()
                 for t in threads:
                     t.join(timeout=60)
-                client.close()
             assert not any(t.is_alive() for t in threads), f"jobs={jobs}"
             assert [canonical(b) for b in got] == want, f"jobs={jobs}"
 

@@ -133,15 +133,9 @@ class TestLineChart:
 class TestSweepToSvg:
     @pytest.fixture(scope="class")
     def tiny_sweep(self):
-        import os
+        from repro.experiments import figures
 
-        os.environ["REPRO_TRIALS"] = "3"
-        try:
-            from repro.experiments import figures
-
-            return figures.fig7a()
-        finally:
-            os.environ.pop("REPRO_TRIALS", None)
+        return figures.fig7a(trials=3)
 
     def test_both_metrics_render(self, tiny_sweep):
         for metric in ("norm_power_inverse", "failure_ratio"):
