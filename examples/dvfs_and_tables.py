@@ -17,7 +17,7 @@ needs:
 Run:  python examples/dvfs_and_tables.py
 """
 
-from repro import Mesh, PowerModel, Routing, RoutingProblem
+from repro import Mesh, PowerModel, RoutingProblem
 from repro.core.frequency import routing_frequency_plan
 from repro.heuristics import get_heuristic
 from repro.noc import destination_table_conflicts, router_tables, source_routes

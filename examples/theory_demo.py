@@ -14,8 +14,6 @@
 Run:  python examples/theory_demo.py
 """
 
-import numpy as np
-
 from repro import Mesh, PowerModel, RoutingProblem
 from repro.heuristics import get_heuristic
 from repro.theory import (

@@ -40,7 +40,7 @@ to the homogeneous model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 

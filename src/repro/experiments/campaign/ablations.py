@@ -1,110 +1,103 @@
 """Campaign families for the six ablation artifacts.
 
-Each family is a faithful port of the retired ``benchmarks/test_ablation_*``
-generator: the workers draw the **same RNG streams** (per-trial
-``spawn_rngs`` indices, pure in ``(seed, trial)``) and the finalizers fold
-per-trial rows **in trial order**, so the campaign reproduces the
-committed tables byte for byte while gaining sharded caching and resume.
+Four of them are :class:`~repro.experiments.campaign.sweeps.TrialExperiment`
+points — ``run_trial`` records folded by ``aggregate_records``, exactly
+what ``run_point`` computes for their points and rosters:
+``ablation_best_members``, ``ablation_improver_start``,
+``ablation_leakage`` and ``ablation_ordering``.  The other two
+(``ablation_frequency_ladder``, ``ablation_router_power``) read per-routing
+quantities a trial record does not carry, so they keep their own workers;
+those draw the **same RNG streams** (per-trial ``spawn_rngs`` indices,
+pure in ``(seed, trial)``) and fold per-trial rows **in trial order**.
+Either way the campaign reproduces the committed tables byte for byte
+while gaining sharded caching and resume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from functools import partial
+from typing import Any, ClassVar, Dict, List, Tuple
 
+from repro.core.power import PowerModel
 from repro.experiments.campaign.spec import Experiment, Shard, chunk_bounds
+from repro.experiments.campaign.sweeps import TrialExperiment, TrialPoint
+from repro.experiments.config import FamilyMixture, UniformRandomFactory
+from repro.experiments.runner import BEST_KEY, RosterMember
+from repro.heuristics import (
+    PAPER_HEURISTICS,
+    ImprovedGreedy,
+    SimpleGreedy,
+    TwoBend,
+    XYImprover,
+)
+from repro.heuristics.ordering import ORDERINGS
+from repro.mesh.topology import Mesh
 from repro.utils.rng import spawn_rngs_range
 from repro.utils.tables import format_table
 
-#: the paper's roster, re-exported to keep worker payloads primitive
-_PAPER = ("XY", "SG", "IG", "TB", "XYI", "PR")
-
 
 def _platform():
-    from repro import Mesh, PowerModel
-
     return Mesh(8, 8), PowerModel.kim_horowitz()
 
 
 # ----------------------------------------------------------------------
 # E-ABL2 — who wins inside BEST (ablation_best_members)
 # ----------------------------------------------------------------------
-def _best_members_shard(payload: Tuple) -> List[dict]:
-    from repro import RoutingProblem
-    from repro.heuristics import get_heuristic
-    from repro.workloads import uniform_random_workload
-
-    seed, lo, hi = payload
-    mesh, power = _platform()
-    heuristics = {n: get_heuristic(n) for n in _PAPER}
-    rows = []
-    for rng in spawn_rngs_range(seed, lo, hi):
-        n_comms = int(rng.integers(10, 80))
-        comms = uniform_random_workload(mesh, n_comms, 100.0, 2000.0, rng=rng)
-        prob = RoutingProblem(mesh, power, comms)
-        results = {n: h.solve(prob) for n, h in heuristics.items()}
-        rows.append(
-            {
-                n: [r.valid, (r.power if r.valid else None)]
-                for n, r in results.items()
-            }
-        )
-    return rows
-
-
 @dataclass(frozen=True)
-class BestMembersExperiment(Experiment):
-    """Win shares inside BEST + marginal success of XYI and PR."""
+class BestMembersExperiment(TrialExperiment):
+    """Win shares inside BEST + BEST's success without each member."""
+
+    #: 2: shards carry ``record_to_row`` rows of the trial path
+    code_version = 2
 
     trials: int = 25
     seed: int = 777
     chunk: int = 5
 
-    def shards(self) -> Tuple[Shard, ...]:
-        return tuple(
-            Shard(
-                key=f"trials-{lo}-{hi}",
-                func=_best_members_shard,
-                payload=(self.seed, lo, hi),
-            )
-            for lo, hi in chunk_bounds(self.trials, self.chunk)
+    def points(self) -> Tuple[TrialPoint, ...]:
+        # 10..79 communications, the count drawn uniformly per instance
+        mixed = FamilyMixture(
+            tuple(UniformRandomFactory(n, 100.0, 2000.0) for n in range(10, 80))
         )
+        return ((*_platform(), mixed, self.seed, 0.0),)
+
+    def roster(self) -> Tuple[RosterMember, ...]:
+        return PAPER_HEURISTICS
 
     def finalize(self, shard_records: List[Any]) -> dict:
-        wins = {n: 0 for n in _PAPER}
-        succ = {n: 0 for n in _PAPER}
-        best_succ = best_wo_xyi = best_wo_pr = 0
-        for row in (r for chunk in shard_records for r in chunk):
-            valid = {n: row[n][1] for n in _PAPER if row[n][0]}
-            for n in valid:
-                succ[n] += 1
-            if valid:
-                best_succ += 1
-                winner = min(valid, key=lambda n: valid[n])
-                wins[winner] += 1
-            if any(n != "XYI" for n in valid):
-                best_wo_xyi += 1
-            if any(n != "PR" for n in valid):
-                best_wo_pr += 1
+        (point,) = self.fold(shard_records)
+        wins = {n: 0 for n in PAPER_HEURISTICS}
+        without = {n: 0 for n in PAPER_HEURISTICS}
+        for row in self.point_rows(shard_records)[0]:
+            outcomes = row["outcomes"]
+            valid = [n for n in PAPER_HEURISTICS if outcomes[n][0]]
+            if row["best_valid"]:
+                # BEST keeps the first valid member of least power
+                wins[
+                    next(n for n in valid if outcomes[n][1] == row["best_inv"])
+                ] += 1
+            for n in PAPER_HEURISTICS:
+                without[n] += int(any(m != n for m in valid))
         return {
             "trials": self.trials,
             "wins": wins,
-            "succ": succ,
-            "best_succ": best_succ,
-            "wo_xyi": best_wo_xyi,
-            "wo_pr": best_wo_pr,
+            "succ": {n: point.stats[n].successes for n in PAPER_HEURISTICS},
+            "best_succ": point.stats[BEST_KEY].successes,
+            "without": without,
         }
 
     def render(self, payload: dict) -> str:
         trials = payload["trials"]
         best_succ = payload["best_succ"]
+        without = payload["without"]
         rows = [
             [
                 n,
                 f"{payload['succ'][n] / trials:.2f}",
                 f"{payload['wins'][n] / max(best_succ, 1):.2f}",
             ]
-            for n in _PAPER
+            for n in PAPER_HEURISTICS
         ]
         return (
             f"BEST composition over {trials} mixed instances "
@@ -115,8 +108,8 @@ class BestMembersExperiment(Experiment):
                 ["ensemble", "success"],
                 [
                     ["all six", f"{best_succ / trials:.2f}"],
-                    ["without XYI", f"{payload['wo_xyi'] / trials:.2f}"],
-                    ["without PR", f"{payload['wo_pr'] / trials:.2f}"],
+                    ["without XYI", f"{without['XYI'] / trials:.2f}"],
+                    ["without PR", f"{without['PR'] / trials:.2f}"],
                 ],
             )
         )
@@ -126,11 +119,11 @@ class BestMembersExperiment(Experiment):
         # paper: XYI and PR are the best two heuristics — they jointly
         # take the majority of wins
         leaders = wins["XYI"] + wins["PR"]
-        others = sum(wins[n] for n in _PAPER) - leaders
-        assert leaders >= others
+        assert leaders >= sum(wins.values()) - leaders
         # dropping PR must cost at least as much success as dropping any
         # single weaker member would (it is the most robust finder)
-        assert payload["wo_pr"] <= payload["best_succ"]
+        without = payload["without"]
+        assert all(without["PR"] <= without[n] for n in without), without
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +141,6 @@ _LADDER_LABELS = (
 
 
 def _ladders():
-    from repro import PowerModel
     from repro.core import uniform_ladder
 
     kh = PowerModel.kim_horowitz()
@@ -163,7 +155,7 @@ def _ladders():
 
 
 def _frequency_ladder_shard(payload: Tuple) -> List[dict]:
-    from repro import Mesh, RoutingProblem
+    from repro import RoutingProblem
     from repro.core import routing_frequency_plan
     from repro.heuristics import get_heuristic
     from repro.workloads import uniform_random_workload
@@ -197,7 +189,12 @@ def _frequency_ladder_shard(payload: Tuple) -> List[dict]:
 
 @dataclass(frozen=True)
 class FrequencyLadderExperiment(Experiment):
-    """Power vs DVFS-ladder granularity for XY, XYI and PR."""
+    """Power vs DVFS-ladder granularity for XY, XYI and PR.
+
+    Not a trial path: it grades one draw under six power models, and its
+    fold reads each routing's quantisation overhead, which a trial record
+    does not carry.
+    """
 
     trials: int = 25
     seed: int = 2468
@@ -292,76 +289,39 @@ class FrequencyLadderExperiment(Experiment):
 _STARTS = ("XY", "TB", "IG")
 
 
-def _improver_start_shard(payload: Tuple) -> List[dict]:
-    from repro import RoutingProblem
-    from repro.heuristics import XYImprover
-    from repro.heuristics.best import best_of_results
-    from repro.workloads import uniform_random_workload
-
-    seed, lo, hi = payload
-    mesh, power = _platform()
-    rows = []
-    for rng in spawn_rngs_range(seed, lo, hi):
-        comms = uniform_random_workload(mesh, 45, 100.0, 1800.0, rng=rng)
-        prob = RoutingProblem(mesh, power, comms)
-        results = {s: XYImprover(start=s).solve(prob) for s in _STARTS}
-        best = best_of_results(list(results.values()))
-        rows.append(
-            {
-                "r": {
-                    s: [r.valid, r.power_inverse] for s, r in results.items()
-                },
-                "best_valid": best.valid,
-                "best_inv": best.power_inverse,
-            }
-        )
-    return rows
-
-
 @dataclass(frozen=True)
-class ImproverStartExperiment(Experiment):
+class ImproverStartExperiment(TrialExperiment):
     """XYI's corner descent seeded by XY, TB and IG."""
+
+    #: 2: shards carry ``record_to_row`` rows of the trial path
+    code_version = 2
 
     trials: int = 12
     seed: int = 90125
     chunk: int = 4
 
-    def shards(self) -> Tuple[Shard, ...]:
-        return tuple(
-            Shard(
-                key=f"trials-{lo}-{hi}",
-                func=_improver_start_shard,
-                payload=(self.seed, lo, hi),
-            )
-            for lo, hi in chunk_bounds(self.trials, self.chunk)
-        )
+    def points(self) -> Tuple[TrialPoint, ...]:
+        workload = UniformRandomFactory(45, 100.0, 1800.0)
+        return ((*_platform(), workload, self.seed, 0.0),)
+
+    def roster(self) -> Tuple[RosterMember, ...]:
+        return tuple((s, partial(XYImprover, start=s)) for s in _STARTS)
 
     def finalize(self, shard_records: List[Any]) -> dict:
-        succ = {s: 0 for s in _STARTS}
-        norm = {s: 0.0 for s in _STARTS}
-        denom = 0
-        for row in (r for chunk in shard_records for r in chunk):
-            for s in _STARTS:
-                succ[s] += int(row["r"][s][0])
-            if row["best_valid"]:
-                denom += 1
-                for s in _STARTS:
-                    norm[s] += row["r"][s][1] / row["best_inv"]
+        (point,) = self.fold(shard_records)
         return {
             "trials": self.trials,
-            "succ": succ,
-            "norm": norm,
-            "denom": denom,
+            "succ": {s: point.stats[s].successes for s in _STARTS},
+            "norm": {s: point.stats[s].norm_power_inverse for s in _STARTS},
         }
 
     def render(self, payload: dict) -> str:
         trials = payload["trials"]
-        denom = payload["denom"]
         rows = [
             [
                 s,
                 f"{payload['succ'][s] / trials:.2f}",
-                f"{payload['norm'][s] / max(denom, 1):.3f}",
+                f"{payload['norm'][s]:.3f}",
             ]
             for s in _STARTS
         ]
@@ -385,16 +345,9 @@ _LEAK_SCALES = (0.0, 0.2, 1.0, 5.0, 25.0)
 _LEAK_NAMES = ("XY", "XYI", "PR")
 
 
-def _leakage_shard(payload: Tuple) -> dict:
-    from repro import Mesh, PowerModel, RoutingProblem
-    from repro.heuristics import get_heuristic
-    from repro.heuristics.best import best_of_results
-    from repro.utils.rng import spawn_rngs
-    from repro.workloads import uniform_random_workload
-
-    seed, trials, scale = payload
-    mesh = Mesh(8, 8)
-    power = PowerModel(
+def _leak_power(scale: float) -> PowerModel:
+    """Kim–Horowitz with ``P_leak`` scaled by ``scale``."""
+    return PowerModel(
         p_leak=16.9 * scale,
         p0=5.41,
         alpha=2.95,
@@ -402,49 +355,50 @@ def _leakage_shard(payload: Tuple) -> dict:
         frequencies=(1000.0, 2500.0, 3500.0),
         freq_unit=1000.0,
     )
-    heuristics = {n: get_heuristic(n) for n in _LEAK_NAMES}
-    norm = {n: 0.0 for n in _LEAK_NAMES}
-    denom = 0
-    for rng in spawn_rngs(seed, trials):
-        comms = uniform_random_workload(mesh, 30, 100.0, 1800.0, rng=rng)
-        prob = RoutingProblem(mesh, power, comms)
-        results = {n: h.solve(prob) for n, h in heuristics.items()}
-        best = best_of_results(list(results.values()))
-        if not best.valid:
-            continue
-        denom += 1
-        for n, r in results.items():
-            norm[n] += r.power_inverse / best.power_inverse
-    return {"norm": norm, "denom": denom}
 
 
 @dataclass(frozen=True)
-class LeakageExperiment(Experiment):
-    """The §6.4 closing remark: sweep P_leak around the Kim–Horowitz value."""
+class LeakageExperiment(TrialExperiment):
+    """The §6.4 closing remark: sweep P_leak around the Kim–Horowitz value.
+
+    One point per leak scale, all on one seed: every scale routes the
+    same instances.
+    """
+
+    #: 2: shards carry ``record_to_row`` rows of the trial path
+    code_version = 2
+
+    #: trials per shard (chunking never changes a number)
+    chunk: ClassVar[int] = 4
 
     trials: int = 12
     seed: int = 31337
 
-    def shards(self) -> Tuple[Shard, ...]:
+    def points(self) -> Tuple[TrialPoint, ...]:
+        mesh = Mesh(8, 8)
+        workload = UniformRandomFactory(30, 100.0, 1800.0)
         return tuple(
-            Shard(
-                key=f"scale-{i}",
-                func=_leakage_shard,
-                payload=(self.seed, self.trials, scale),
-            )
-            for i, scale in enumerate(_LEAK_SCALES)
+            (mesh, _leak_power(scale), workload, self.seed, scale)
+            for scale in _LEAK_SCALES
         )
 
+    def roster(self) -> Tuple[RosterMember, ...]:
+        return _LEAK_NAMES
+
     def finalize(self, shard_records: List[Any]) -> dict:
-        return {"trials": self.trials, "scales": shard_records}
+        return {
+            "trials": self.trials,
+            "norm": [
+                {n: point.stats[n].norm_power_inverse for n in _LEAK_NAMES}
+                for point in self.fold(shard_records)
+            ],
+        }
 
     def render(self, payload: dict) -> str:
-        rows = []
-        for scale, rec in zip(_LEAK_SCALES, payload["scales"]):
-            row = [f"{scale:g}x"]
-            for n in _LEAK_NAMES:
-                row.append(f"{rec['norm'][n] / max(rec['denom'], 1):.3f}")
-            rows.append(row)
+        rows = [
+            [f"{scale:g}x", *(f"{norm[n]:.3f}" for n in _LEAK_NAMES)]
+            for scale, norm in zip(_LEAK_SCALES, payload["norm"])
+        ]
         return (
             f"P_leak sweep (scale of 16.9 mW) at {payload['trials']} trials, "
             "30 mixed comms\n"
@@ -452,10 +406,7 @@ class LeakageExperiment(Experiment):
         )
 
     def verify(self, payload: dict) -> None:
-        pr_vs_xyi = [
-            (rec["norm"]["PR"] - rec["norm"]["XYI"]) / max(rec["denom"], 1)
-            for rec in payload["scales"]
-        ]
+        pr_vs_xyi = [norm["PR"] - norm["XYI"] for norm in payload["norm"]]
         # PR's relative standing vs XYI improves as the leakage share
         # shrinks (the paper's remark)
         assert pr_vs_xyi[0] >= pr_vs_xyi[-1] - 0.05
@@ -464,82 +415,53 @@ class LeakageExperiment(Experiment):
 # ----------------------------------------------------------------------
 # E-ABL — communication-processing order (ablation_ordering)
 # ----------------------------------------------------------------------
-_ORDER_FACTORIES = ("SG", "IG", "TB")
-
-
-def _ordering_shard(payload: Tuple) -> List[dict]:
-    from repro import RoutingProblem
-    from repro.heuristics import ImprovedGreedy, SimpleGreedy, TwoBend
-    from repro.heuristics.ordering import ORDERINGS
-    from repro.workloads import uniform_random_workload
-
-    factories = {"SG": SimpleGreedy, "IG": ImprovedGreedy, "TB": TwoBend}
-    seed, lo, hi = payload
-    mesh, power = _platform()
-    rows = []
-    for rng in spawn_rngs_range(seed, lo, hi):
-        # a regime where SG/IG/TB succeed often enough to compare orderings
-        comms = uniform_random_workload(mesh, 30, 100.0, 1600.0, rng=rng)
-        prob = RoutingProblem(mesh, power, comms)
-        row: Dict[str, dict] = {}
-        for hname, factory in factories.items():
-            row[hname] = {}
-            for ordering in ORDERINGS:
-                res = factory(ordering=ordering).solve(prob)
-                row[hname][ordering] = [res.valid, res.power_inverse]
-        rows.append(row)
-    return rows
+_ORDER_FACTORIES = {"SG": SimpleGreedy, "IG": ImprovedGreedy, "TB": TwoBend}
 
 
 @dataclass(frozen=True)
-class OrderingExperiment(Experiment):
+class OrderingExperiment(TrialExperiment):
     """SG/IG/TB under every processing-order criterion."""
+
+    #: 2: shards carry ``record_to_row`` rows of the trial path
+    code_version = 2
 
     trials: int = 25
     seed: int = 4242
     chunk: int = 5
 
-    def shards(self) -> Tuple[Shard, ...]:
+    def points(self) -> Tuple[TrialPoint, ...]:
+        # a regime where SG/IG/TB succeed often enough to compare orderings
+        workload = UniformRandomFactory(30, 100.0, 1600.0)
+        return ((*_platform(), workload, self.seed, 0.0),)
+
+    def roster(self) -> Tuple[RosterMember, ...]:
         return tuple(
-            Shard(
-                key=f"trials-{lo}-{hi}",
-                func=_ordering_shard,
-                payload=(self.seed, lo, hi),
-            )
-            for lo, hi in chunk_bounds(self.trials, self.chunk)
+            (f"{h}/{o}", partial(cls, ordering=o))
+            for h, cls in _ORDER_FACTORIES.items()
+            for o in ORDERINGS
         )
 
     def finalize(self, shard_records: List[Any]) -> dict:
-        from repro.heuristics.ordering import ORDERINGS
-
-        succ = {h: {o: 0 for o in ORDERINGS} for h in _ORDER_FACTORIES}
-        inv = {h: {o: 0.0 for o in ORDERINGS} for h in _ORDER_FACTORIES}
-        for row in (r for chunk in shard_records for r in chunk):
-            for h in _ORDER_FACTORIES:
-                for o in ORDERINGS:
-                    valid, pinv = row[h][o]
-                    succ[h][o] += int(valid)
-                    inv[h][o] += pinv
+        (point,) = self.fold(shard_records)
+        labels = [label for label, _ in self.roster()]
         return {
             "trials": self.trials,
-            "orderings": list(ORDERINGS),
-            "succ": succ,
-            "inv": inv,
+            "succ": {k: point.stats[k].successes for k in labels},
+            "inv": {k: point.stats[k].mean_power_inverse for k in labels},
         }
 
     def render(self, payload: dict) -> str:
         trials = payload["trials"]
-        rows = []
-        for hname in _ORDER_FACTORIES:
-            for ordering in payload["orderings"]:
-                rows.append(
-                    [
-                        hname,
-                        ordering,
-                        f"{payload['succ'][hname][ordering] / trials:.2f}",
-                        f"{payload['inv'][hname][ordering] / trials * 1e4:.3f}",
-                    ]
-                )
+        rows = [
+            [
+                h,
+                o,
+                f"{payload['succ'][f'{h}/{o}'] / trials:.2f}",
+                f"{payload['inv'][f'{h}/{o}'] * 1e4:.3f}",
+            ]
+            for h in _ORDER_FACTORIES
+            for o in ORDERINGS
+        ]
         return (
             f"Ordering ablation over {trials} instances (30 comms, 100-1600)\n"
             + format_table(
@@ -549,14 +471,14 @@ class OrderingExperiment(Experiment):
 
     def verify(self, payload: dict) -> None:
         trials = payload["trials"]
+        succ = payload["succ"]
         # the paper's claim: decreasing weight is the best (or tied-best)
         # criterion for each greedy heuristic, measured by success rate
-        for hname in _ORDER_FACTORIES:
-            weight_succ = payload["succ"][hname]["weight"]
-            for ordering in ("length", "input"):
-                assert weight_succ >= payload["succ"][hname][ordering] - max(
+        for h in _ORDER_FACTORIES:
+            for o in ("length", "input"):
+                assert succ[f"{h}/weight"] >= succ[f"{h}/{o}"] - max(
                     2, trials // 10
-                ), (hname, ordering)
+                ), (h, o)
 
 
 # ----------------------------------------------------------------------
@@ -571,7 +493,7 @@ _ROUTER_NAMES = ("XYI", "PR")
 
 
 def _router_power_shard(payload: Tuple) -> dict:
-    from repro import Mesh, PowerModel, RoutingProblem
+    from repro import RoutingProblem
     from repro.heuristics import get_heuristic
     from repro.noc import RouterPowerModel, network_power
     from repro.utils.rng import spawn_rngs
@@ -617,7 +539,11 @@ def _router_power_shard(payload: Tuple) -> dict:
 
 @dataclass(frozen=True)
 class RouterPowerExperiment(Experiment):
-    """XYI vs PR under total (links + routers) power, two regimes."""
+    """XYI vs PR under total (links + routers) power, two regimes.
+
+    Not a trial path: its fold reads each routing's ``network_power`` at
+    six router leak values, which a trial record does not carry.
+    """
 
     trials: int = 25
 

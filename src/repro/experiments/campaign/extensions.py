@@ -4,115 +4,84 @@ Ports of the retired ``benchmarks/test_*`` generators that go beyond the
 paper's figures: metaheuristics, multipath splitting, NoC deployment
 curves, the Section 7 open problem, exact optimality gaps, reorder-buffer
 pricing, classic traffic patterns and published application workloads.
-Sharding follows each experiment's natural outer loop (trial chunks,
-mesh sizes, split budgets, patterns, mapping qualities).
+``meta_heuristics`` is a
+:class:`~repro.experiments.campaign.sweeps.TrialExperiment` point: its
+trials are ``run_trial`` records, so SA, GA and TABU are reseeded from
+each trial's own generator, as in every sweep.  The other families are
+single-instance studies (or, for ``optimality_gap``, one exact optimum
+per instance); their sharding follows each one's natural outer loop
+(mesh sizes, split budgets, patterns, mapping qualities, seed chunks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.power import PowerModel
 from repro.experiments.campaign.spec import Experiment, Shard, chunk_bounds
-from repro.utils.rng import spawn_rngs_range
+from repro.experiments.campaign.sweeps import TrialExperiment, TrialPoint
+from repro.experiments.config import UniformRandomFactory
+from repro.experiments.runner import BEST_KEY, RosterMember
+from repro.heuristics import GeneticRouting, SimulatedAnnealing, TabuRouting
+from repro.mesh.topology import Mesh
 from repro.utils.tables import format_table
 
 
 # ----------------------------------------------------------------------
 # E-META — stochastic search vs the paper's heuristics (meta_heuristics)
 # ----------------------------------------------------------------------
-_META_FIELD = ("XYI", "PR", "SA", "SA+XYI", "GA", "TABU")
-
-
-def _meta_field(seed: int):
-    """One fresh heuristic field (stochastic ones re-seeded per instance)."""
-    from repro.heuristics import (
-        GeneticRouting,
-        PathRemover,
-        SimulatedAnnealing,
-        TabuRouting,
-        XYImprover,
-    )
-
-    return {
-        "XYI": XYImprover(),
-        "PR": PathRemover(),
-        "SA": SimulatedAnnealing(iterations=4000, seed=seed),
-        "SA+XYI": SimulatedAnnealing(iterations=4000, init="XYI", seed=seed),
-        "GA": GeneticRouting(population=24, generations=40, seed=seed),
-        "TABU": TabuRouting(iterations=200, seed=seed),
-    }
-
-
-def _meta_shard(payload: Tuple) -> List[dict]:
-    from repro import Mesh, PowerModel, RoutingProblem
-    from repro.workloads import uniform_random_workload
-
-    seed, lo, hi = payload
-    mesh = Mesh(8, 8)
-    power = PowerModel.kim_horowitz()
-    rows = []
-    for k, rng in zip(range(lo, hi), spawn_rngs_range(seed, lo, hi)):
-        comms = uniform_random_workload(mesh, 25, 100.0, 2500.0, rng=rng)
-        prob = RoutingProblem(mesh, power, comms)
-        prob.kernel()  # shared build, as the retired bench did
-        results = {n: h.solve(prob) for n, h in _meta_field(k).items()}
-        rows.append(
-            {n: [r.valid, r.power_inverse] for n, r in results.items()}
-        )
-    return rows
-
-
 @dataclass(frozen=True)
-class MetaHeuristicsExperiment(Experiment):
+class MetaHeuristicsExperiment(TrialExperiment):
     """SA/GA/TABU vs XYI/PR over the Figure 7(b) mixed regime."""
+
+    #: 2: shards carry ``record_to_row`` rows of the trial path, and SA,
+    #: GA and TABU are reseeded per trial instead of by trial index
+    code_version = 2
 
     trials: int = 25
     seed: int = 20260611
     chunk: int = 5
 
-    def shards(self) -> Tuple[Shard, ...]:
-        return tuple(
-            Shard(
-                key=f"trials-{lo}-{hi}",
-                func=_meta_shard,
-                payload=(self.seed, lo, hi),
-            )
-            for lo, hi in chunk_bounds(self.trials, self.chunk)
+    def points(self) -> Tuple[TrialPoint, ...]:
+        mesh, power = Mesh(8, 8), PowerModel.kim_horowitz()
+        workload = UniformRandomFactory(25, 100.0, 2500.0)
+        return ((mesh, power, workload, self.seed, 0.0),)
+
+    def roster(self) -> Tuple[RosterMember, ...]:
+        return (
+            "XYI",
+            "PR",
+            ("SA", partial(SimulatedAnnealing, iterations=4000)),
+            ("SA+XYI", partial(SimulatedAnnealing, iterations=4000, init="XYI")),
+            ("GA", partial(GeneticRouting, population=24, generations=40)),
+            ("TABU", partial(TabuRouting, iterations=200)),
         )
 
     def finalize(self, shard_records: List[Any]) -> dict:
-        succ = {n: 0 for n in _META_FIELD}
-        norm_inv = {n: 0.0 for n in _META_FIELD}
-        best_succ = 0
-        for row in (r for chunk in shard_records for r in chunk):
-            best_inv = max(row[n][1] for n in _META_FIELD)
-            best_succ += int(best_inv > 0)
-            for n in _META_FIELD:
-                succ[n] += int(row[n][0])
-                if best_inv > 0:
-                    norm_inv[n] += row[n][1] / best_inv
+        (point,) = self.fold(shard_records)
+        field = [n for n in point.stats if n != BEST_KEY]
         return {
             "trials": self.trials,
-            "succ": succ,
-            "norm_inv": norm_inv,
-            "best_succ": best_succ,
+            "field": field,
+            "succ": {n: point.stats[n].successes for n in field},
+            "norm_inv": {n: point.stats[n].norm_power_inverse for n in field},
         }
 
     def render(self, payload: dict) -> str:
         trials = payload["trials"]
-        denom = max(1, payload["best_succ"])
         # runtimes deliberately absent (see BENCH_2.json for the M-SPEED
         # timing baselines) — wall-clock is never byte-reproducible
         rows = [
             [
                 n,
                 f"{payload['succ'][n] / trials:.2f}",
-                f"{payload['norm_inv'][n] / denom:.3f}",
+                f"{payload['norm_inv'][n]:.3f}",
             ]
-            for n in _META_FIELD
+            for n in payload["field"]
         ]
         return (
             f"Metaheuristics vs paper heuristics over {trials} instances "
@@ -503,7 +472,9 @@ class OptimalityGapExperiment(Experiment):
     """Heuristic power / exact 1-MP optimum on small instances.
 
     ``trials`` is the instance count (one exact solve per instance), so
-    the generic ``--trials`` override scales this family too.
+    the generic ``--trials`` override scales this family too.  Not a
+    trial path: it studies instances, one exact optimum each, rather than
+    averaging a Monte-Carlo point.
     """
 
     trials: int = 12

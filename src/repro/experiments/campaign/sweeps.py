@@ -1,14 +1,16 @@
-"""Campaign families for the Figure 7/8/9 sweeps and the §6.4 summary.
+"""The campaign's Monte-Carlo families: figure sweeps, §6.4 summary, base.
 
-These wrap the existing Monte-Carlo machinery
-(:mod:`repro.experiments.config`, :mod:`repro.experiments.runner`) in
-declarative, shardable specs.  A sweep or summary shard is one chunk of
-trials of one sweep point, run by the runner's own chunk worker (same
-per-point seed derivation, same per-trial RNG streams) and folded by its
-:func:`~repro.experiments.runner.aggregate_records`, so campaign output
-is bit-identical to ``run_sweep`` and ``summary_statistics`` — the
-wall-clock ``runtime_s`` is dropped at the wire boundary because it can
-never be reproduced and the renderings never show it.
+:class:`TrialExperiment` is the base of every campaign family that
+averages trials: a family declares its sweep points and its roster, and
+the base shards each point into trial chunks, runs every chunk through
+the runner's own chunk worker (same per-point seeds, same per-trial RNG
+streams) and folds each point with
+:func:`~repro.experiments.runner.aggregate_records` — so a family's fold
+is bit-identical to ``run_point`` on its points and roster, and the
+figure sweeps and the summary to ``run_sweep`` and
+``summary_statistics``.  The wall-clock ``runtime_s`` is dropped at the
+wire boundary because it can never be reproduced and the renderings
+never show it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Any, List, Tuple
 from repro.core.power import PowerModel
 from repro.experiments.campaign.spec import Experiment, Shard, chunk_bounds
 from repro.experiments.config import (
+    WorkloadFactory,
     fig7_config,
     fig8_config,
     fig9_config,
@@ -30,9 +33,11 @@ from repro.experiments.runner import (
     BEST_KEY,
     HeuristicPointStats,
     PointResult,
+    RosterMember,
     SweepResult,
     TrialOutcome,
     TrialRecord,
+    _expand_names,
     _run_trial_chunk,
     aggregate_records,
     point_seed,
@@ -99,6 +104,80 @@ def payload_to_sweep_result(payload: dict) -> SweepResult:
 
 
 # ----------------------------------------------------------------------
+# the trial-path base
+# ----------------------------------------------------------------------
+#: one sweep point of a :class:`TrialExperiment`:
+#: ``(mesh, power, workload, seed, x)``
+TrialPoint = Tuple[Mesh, PowerModel, WorkloadFactory, int, float]
+
+
+@dataclass(frozen=True)
+class TrialExperiment(Experiment):
+    """A Monte-Carlo family: ``run_trial`` points, one fold per point.
+
+    A family declares :meth:`points` and :meth:`roster` (registry names
+    and ``(label, factory)`` pairs, see
+    :data:`~repro.experiments.runner.RosterMember`), plus ``trials`` and
+    ``chunk`` (dataclass fields or class constants); the base owns the
+    shards and the fold.  A shard is one ``chunk_bounds(trials, chunk)``
+    chunk of one point, run by :func:`_trial_shard`; its payload carries
+    the frozen spec itself.  :meth:`fold` equals ``run_point(mesh, power,
+    workload, trials, seed, roster, x=x)`` of every point, bit for bit
+    except the runtimes.
+    """
+
+    def points(self) -> Tuple[TrialPoint, ...]:
+        """The ``(mesh, power, workload, seed, x)`` points, in order."""
+        raise NotImplementedError
+
+    def roster(self) -> Tuple[RosterMember, ...]:
+        """The members run on every trial of every point."""
+        raise NotImplementedError
+
+    def shards(self) -> Tuple[Shard, ...]:
+        bounds = chunk_bounds(self.trials, self.chunk)
+        n_points = len(self.points())
+        return tuple(
+            Shard(
+                key=(f"point{k:02d}-" if n_points > 1 else "")
+                + f"trials-{lo}-{hi}",
+                func=_trial_shard,
+                payload=(self, k, lo, hi),
+            )
+            for k in range(n_points)
+            for lo, hi in bounds
+        )
+
+    def point_rows(self, shard_records: List[Any]) -> List[List[dict]]:
+        """Each point's ``record_to_row`` rows, in trial order."""
+        per_point = len(chunk_bounds(self.trials, self.chunk))
+        return [
+            [row for chunk in shard_records[i : i + per_point] for row in chunk]
+            for i in range(0, len(shard_records), per_point)
+        ]
+
+    def fold(self, shard_records: List[Any]) -> List[PointResult]:
+        """One ``aggregate_records`` per point (stats keyed by label)."""
+        names = _expand_names(self.roster())
+        return [
+            aggregate_records([row_to_record(r) for r in rows], names, x=x)
+            for rows, (*_, x) in zip(
+                self.point_rows(shard_records), self.points()
+            )
+        ]
+
+
+def _trial_shard(payload: Tuple) -> List[dict]:
+    """Worker: trials ``lo .. hi-1`` of point ``k`` (pure in the spec)."""
+    experiment, k, lo, hi = payload
+    mesh, power, workload, seed, _ = experiment.points()[k]
+    records = _run_trial_chunk(
+        (mesh, power, workload, seed, lo, hi, experiment.roster())
+    )
+    return [record_to_row(rec) for rec in records]
+
+
+# ----------------------------------------------------------------------
 # figure sweeps
 # ----------------------------------------------------------------------
 def _make_config(figure: str, panel: str, trials: int, xs, seed: int):
@@ -111,26 +190,8 @@ def _make_config(figure: str, panel: str, trials: int, xs, seed: int):
     raise InvalidParameterError(f"unknown figure {figure!r}")
 
 
-def _sweep_shard(payload: Tuple) -> List[dict]:
-    """Worker: trials ``lo .. hi-1`` of sweep point ``k`` (pure in spec)."""
-    figure, panel, xs, trials, seed, k, lo, hi = payload
-    cfg = _make_config(figure, panel, trials, tuple(xs), seed)
-    records = _run_trial_chunk(
-        (
-            cfg.mesh(),
-            cfg.power_factory(),
-            cfg.points[k].workload,
-            point_seed(cfg.seed, k),
-            lo,
-            hi,
-            tuple(cfg.heuristics),
-        )
-    )
-    return [record_to_row(rec) for rec in records]
-
-
 @dataclass(frozen=True)
-class SweepExperiment(Experiment):
+class SweepExperiment(TrialExperiment):
     """One figure panel: a full sweep, sharded ``points x trial-chunks``."""
 
     figure: str
@@ -145,43 +206,24 @@ class SweepExperiment(Experiment):
             self.figure, self.panel, self.trials, self.x_values, self.seed
         )
 
-    def shards(self) -> Tuple[Shard, ...]:
-        out = []
-        for k in range(len(self.x_values)):
-            for lo, hi in chunk_bounds(self.trials, self.chunk):
-                out.append(
-                    Shard(
-                        key=f"point{k:02d}-trials-{lo}-{hi}",
-                        func=_sweep_shard,
-                        payload=(
-                            self.figure,
-                            self.panel,
-                            self.x_values,
-                            self.trials,
-                            self.seed,
-                            k,
-                            lo,
-                            hi,
-                        ),
-                    )
-                )
-        return tuple(out)
+    def points(self) -> Tuple[TrialPoint, ...]:
+        cfg = self._config()
+        mesh, power = cfg.mesh(), cfg.power_factory()
+        return tuple(
+            (mesh, power, point.workload, point_seed(cfg.seed, k), point.x)
+            for k, point in enumerate(cfg.points)
+        )
+
+    def roster(self) -> Tuple[RosterMember, ...]:
+        return self._config().heuristics
 
     def finalize(self, shard_records: List[Any]) -> dict:
         cfg = self._config()
-        names = list(cfg.heuristics) + [BEST_KEY]
-        chunks_per_point = len(chunk_bounds(self.trials, self.chunk))
-        points = []
-        idx = 0
-        for point in cfg.points:
-            rows: List[dict] = []
-            for _ in range(chunks_per_point):
-                rows.extend(shard_records[idx])
-                idx += 1
-            result = aggregate_records(
-                [row_to_record(r) for r in rows], names, x=point.x
-            )
-            points.append(
+        return {
+            "sweep": cfg.name,
+            "x_label": cfg.x_label,
+            "heuristics": list(cfg.heuristics),
+            "points": [
                 {
                     "x": point.x,
                     "stats": {
@@ -192,15 +234,11 @@ class SweepExperiment(Experiment):
                             "mean_power_inverse": st.mean_power_inverse,
                             "mean_static_fraction": st.mean_static_fraction,
                         }
-                        for n, st in result.stats.items()
+                        for n, st in point.stats.items()
                     },
                 }
-            )
-        return {
-            "sweep": cfg.name,
-            "x_label": cfg.x_label,
-            "heuristics": list(cfg.heuristics),
-            "points": points,
+                for point in self.fold(shard_records)
+            ],
         }
 
     def render(self, payload: dict) -> str:
@@ -322,25 +360,8 @@ _SWEEP_PINS = {
 # ----------------------------------------------------------------------
 # §6.4 summary
 # ----------------------------------------------------------------------
-def _summary_shard(payload: Tuple) -> List[dict]:
-    """Worker: summary trials ``lo .. hi-1`` on the full paper roster."""
-    seed, lo, hi = payload
-    records = _run_trial_chunk(
-        (
-            Mesh(8, 8),
-            PowerModel.kim_horowitz(),
-            summary_mixture(),
-            seed,
-            lo,
-            hi,
-            tuple(PAPER_HEURISTICS),
-        )
-    )
-    return [record_to_row(rec) for rec in records]
-
-
 @dataclass(frozen=True)
-class SummaryExperiment(Experiment):
+class SummaryExperiment(TrialExperiment):
     """The Section 6.4 headline averages over all instance families."""
 
     #: 2: shards carry ``record_to_row`` rows, folded by aggregate_records
@@ -350,22 +371,15 @@ class SummaryExperiment(Experiment):
     seed: int = 64
     chunk: int = 25
 
-    def shards(self) -> Tuple[Shard, ...]:
-        return tuple(
-            Shard(
-                key=f"trials-{lo}-{hi}",
-                func=_summary_shard,
-                payload=(self.seed, lo, hi),
-            )
-            for lo, hi in chunk_bounds(self.trials, self.chunk)
-        )
+    def points(self) -> Tuple[TrialPoint, ...]:
+        mesh, power = Mesh(8, 8), PowerModel.kim_horowitz()
+        return ((mesh, power, summary_mixture(), self.seed, 0.0),)
+
+    def roster(self) -> Tuple[RosterMember, ...]:
+        return PAPER_HEURISTICS
 
     def finalize(self, shard_records: List[Any]) -> dict:
-        point = aggregate_records(
-            [row_to_record(r) for chunk in shard_records for r in chunk],
-            list(PAPER_HEURISTICS) + [BEST_KEY],
-            x=0.0,
-        )
+        (point,) = self.fold(shard_records)
         s = summary_from_point(point)
         return {
             "trials": s.trials,

@@ -31,9 +31,14 @@ of ``(seed, i)`` through :func:`repro.utils.rng.spawn_rngs`, regardless of
 which worker runs it — and feed each point's records *in trial order*
 through the same :func:`aggregate_records` fold, so serial and parallel
 sweeps are bit-identical on every statistic except the (inherently
-wall-clock) ``mean_runtime_s``.  The §6.4 summary, the campaign's sweep
-and summary shards and the convergence study run this same trial path
-and fold.
+wall-clock) ``mean_runtime_s``.  The §6.4 summary, the convergence study
+and every Monte-Carlo family of the campaign (the figure sweeps, the
+summary, the ablations and ``meta_heuristics``, through
+``campaign.sweeps.TrialExperiment``) run this same trial path and fold.
+
+A roster is a sequence of members, each a heuristic registry name or a
+``(label, factory)`` pair (:data:`RosterMember`); the labels key the
+outcomes, so a roster can hold parameterised heuristics side by side.
 
 Parallel execution requires the workload factory (and the mesh/power
 objects) to be picklable; the factories in
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +58,7 @@ from repro.core.evaluate import evaluate_routing
 from repro.core.problem import RoutingProblem
 from repro.core.routing import Routing
 from repro.experiments.config import SweepConfig, WorkloadFactory
-from repro.heuristics.base import HeuristicResult, get_heuristic
+from repro.heuristics.base import Heuristic, HeuristicResult, get_heuristic
 from repro.heuristics.best import best_of_results
 from repro.mesh.topology import Mesh
 from repro.core.power import PowerModel
@@ -63,6 +68,11 @@ from repro.utils.validation import InvalidParameterError
 
 #: series key used for the virtual best heuristic
 BEST_KEY = "BEST"
+
+#: one roster member: a registry name, or a ``(label, factory)`` pair whose
+#: ``factory`` is a picklable zero-argument callable building the heuristic
+#: (e.g. ``("TB", functools.partial(XYImprover, start="TB"))``)
+RosterMember = Union[str, Tuple[str, Callable[[], Heuristic]]]
 
 
 @dataclass(frozen=True)
@@ -157,13 +167,14 @@ def run_trial(
     power: PowerModel,
     workload: WorkloadFactory,
     rng: np.random.Generator,
-    heuristic_names: Sequence[str],
+    heuristic_names: Sequence[RosterMember],
 ) -> TrialRecord:
-    """Run every heuristic on one drawn instance and record the outcomes.
+    """Run every roster member on one drawn instance and record the outcomes.
 
-    Fresh heuristic instances are built per trial (so trials are
-    self-contained and chunkable across processes) and stochastic ones are
-    reseeded from the trial's own generator — each trial gets independent
+    Fresh heuristic instances are built per trial, from a registry name
+    or a member's factory (so trials are self-contained and chunkable
+    across processes), keyed by the member's label, and stochastic ones
+    are reseeded from the trial's own generator — each trial gets independent
     randomness, deterministic in ``(seed, trial index)``, instead of every
     trial replaying a stochastic heuristic's default seed.
 
@@ -180,10 +191,20 @@ def run_trial(
     afterwards; grading draws no randomness, so every result equals
     ``h.solve(problem)``.
     """
-    heuristics = [get_heuristic(n) for n in heuristic_names]
-    problem = _draw_trial_problem(mesh, power, workload, rng, heuristics)
-    routed = [(h.name, *h.route_timed(problem)) for h in heuristics]
+    members = [_instantiate(m) for m in heuristic_names]
+    problem = _draw_trial_problem(
+        mesh, power, workload, rng, [h for _, h in members]
+    )
+    routed = [(label, *h.route_timed(problem)) for label, h in members]
     return _trial_record(evaluate_deferred(routed))
+
+
+def _instantiate(member: RosterMember) -> Tuple[str, Heuristic]:
+    """A roster member's ``(label, fresh heuristic)``."""
+    if isinstance(member, str):
+        return member, get_heuristic(member)
+    label, factory = member
+    return label, factory()
 
 
 def _draw_trial_problem(
@@ -250,7 +271,7 @@ def _run_trials(
     power: PowerModel,
     workload: WorkloadFactory,
     rngs: Sequence[np.random.Generator],
-    heuristic_names: Sequence[str],
+    heuristic_names: Sequence[RosterMember],
 ) -> List[TrialRecord]:
     """Run one trial per generator, in order."""
     return [
@@ -310,12 +331,26 @@ def aggregate_records(
     return PointResult(x=x, stats=stats)
 
 
-def _expand_names(heuristic_names: Sequence[str]) -> List[str]:
-    """Validate and canonicalise the competitor list (BEST appended)."""
+def _expand_names(heuristic_names: Sequence[RosterMember]) -> List[str]:
+    """Validate a roster: its labels in roster order, BEST appended.
+
+    Every member is built once here, so an unknown name or a failing
+    factory is reported before any trial runs.  The labels key each
+    trial's outcomes, so a repeated label (its members would share one
+    outcome) and the label ``BEST`` (the virtual best's key) are rejected.
+    """
     if not heuristic_names:
         raise InvalidParameterError("need at least one heuristic name")
-    heuristics = [get_heuristic(n) for n in heuristic_names]
-    return [h.name for h in heuristics] + [BEST_KEY]
+    labels: List[str] = []
+    for member in heuristic_names:
+        label, _ = _instantiate(member)
+        if label == BEST_KEY or label in labels:
+            raise InvalidParameterError(
+                f"roster label {label!r} is "
+                + ("reserved" if label == BEST_KEY else "repeated")
+            )
+        labels.append(label)
+    return labels + [BEST_KEY]
 
 
 def check_jobs(jobs: int) -> None:
@@ -334,24 +369,21 @@ def point_seed(seed: int, k: int) -> int:
 # ----------------------------------------------------------------------
 # parallel engine
 # ----------------------------------------------------------------------
-def _run_trial_chunk(
-    payload: Tuple[
-        Mesh, PowerModel, WorkloadFactory, int, int, int, Tuple[str, ...]
-    ]
-) -> List[TrialRecord]:
+def _run_trial_chunk(payload: Tuple) -> List[TrialRecord]:
     """Worker entry point: run trials ``lo .. hi-1`` of a sweep point.
 
-    The child re-derives just its slice of the per-trial generators with
+    ``payload`` is ``(mesh, power, workload, seed, lo, hi, roster)``.  The
+    child re-derives just its slice of the per-trial generators with
     :func:`~repro.utils.rng.spawn_rngs_range` — stream ``i`` is a pure
     function of ``(seed, i)``, so the chunk boundaries (and the process
     start method, fork or spawn) cannot change any trial's instance draw.
     """
-    mesh, power, workload, seed, lo, hi, names = payload
+    mesh, power, workload, seed, lo, hi, roster = payload
     # the chunk's platform objects were just unpickled: rebuild their
     # lazy caches once here, not inside the first trial's timed region
     warm_platform_caches(mesh, power)
     rngs = spawn_rngs_range(seed, lo, hi)
-    return _run_trials(mesh, power, workload, rngs, names)
+    return _run_trials(mesh, power, workload, rngs, roster)
 
 
 def _chunk_bounds(trials: int, jobs: int) -> List[Tuple[int, int]]:
@@ -365,9 +397,9 @@ def _chunk_bounds(trials: int, jobs: int) -> List[Tuple[int, int]]:
     return [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
 
-def _point_payload(mesh, power, workload, seed: int, names: Tuple[str, ...]):
+def _point_payload(mesh, power, workload, seed: int, roster: Tuple):
     """The ``make_payload`` of one sweep point for :func:`_run_trial_chunk`."""
-    return lambda lo, hi: (mesh, power, workload, seed, lo, hi, names)
+    return lambda lo, hi: (mesh, power, workload, seed, lo, hi, roster)
 
 
 def map_trial_chunks(worker, groups, jobs: int) -> Iterator[List]:
@@ -402,14 +434,14 @@ def map_trial_chunks(worker, groups, jobs: int) -> Iterator[List]:
 def _run_points(
     mesh: Mesh,
     power: PowerModel,
-    heuristic_names: Sequence[str],
+    heuristic_names: Sequence[RosterMember],
     points: Sequence[Tuple[WorkloadFactory, int, int, float]],
     jobs: int,
 ) -> List[PointResult]:
     """Run ``(workload, trials, seed, x)`` points, all on one pool."""
     check_jobs(jobs)
     names = _expand_names(heuristic_names)
-    members = tuple(names[:-1])
+    members = tuple(heuristic_names)
     if jobs == 1:
         warm_platform_caches(mesh, power)
         return [
@@ -442,11 +474,14 @@ def run_point(
     workload: WorkloadFactory,
     trials: int,
     seed: int,
-    heuristic_names: Sequence[str],
+    heuristic_names: Sequence[RosterMember],
     x: float = 0.0,
     jobs: int = 1,
 ) -> PointResult:
     """Run ``trials`` independent instances of one sweep point.
+
+    ``heuristic_names`` is the roster: registry names and ``(label,
+    factory)`` pairs (:data:`RosterMember`), stats keyed by label.
 
     ``jobs=1`` (default) runs serially in-process; ``jobs > 1`` runs the
     trial chunks on a process pool with identical aggregation.
@@ -474,6 +509,6 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     return SweepResult(
         name=config.name,
         x_label=config.x_label,
-        heuristics=tuple(config.heuristics),
+        heuristics=tuple(points[0].stats)[:-1],  # the labels, BEST last
         points=tuple(points),
     )

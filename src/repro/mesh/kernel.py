@@ -26,7 +26,7 @@ validated once up front or come from trusted generators).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 

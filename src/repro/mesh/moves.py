@@ -16,7 +16,7 @@ corner-relocation operations used by the XY-improver heuristic (Section
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.mesh.diagonals import direction_of, direction_steps
 from repro.mesh.topology import Mesh

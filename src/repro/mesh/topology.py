@@ -443,11 +443,6 @@ class Mesh:
         """Column of every link's head core (read-only view)."""
         return self._head_v
 
-    @property
-    def horizontal_mask(self) -> np.ndarray:
-        """Boolean vector: True where the link is E or W."""
-        return self._horizontal_mask
-
     # ------------------------------------------------------------------
     # dunder plumbing
     # ------------------------------------------------------------------

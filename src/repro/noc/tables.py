@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 from repro.core.routing import Routing
 from repro.mesh.diagonals import direction_of, direction_steps
 from repro.mesh.kernel import links_from_vmask, moves_to_vmask
-from repro.mesh.topology import Mesh, Orientation
+from repro.mesh.topology import Mesh
 
 Coord = Tuple[int, int]
 #: table key: (router, comm index, flow index)

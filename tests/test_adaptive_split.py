@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Communication, Mesh, PowerModel, RoutingProblem
+from repro import Communication, RoutingProblem
 from repro.heuristics import get_heuristic
 from repro.multipath import AdaptiveSplitRepair
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import InvalidParameterError
 from repro.workloads import uniform_random_workload
-from tests.conftest import make_random_problem
 
 
 class TestParameters:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Mesh, PowerModel, RoutingProblem
+from repro import Mesh, RoutingProblem
 from repro.heuristics import get_heuristic
 from repro.utils.validation import InvalidParameterError
 from repro.workloads import (

@@ -11,7 +11,7 @@ cache entries.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -19,8 +19,11 @@ from repro.experiments.campaign import (
     ArtifactStore,
     available_experiments,
     get_experiment,
+    prefetch_shards,
     run_experiment,
 )
+from repro.experiments.campaign.sweeps import TrialExperiment
+from repro.experiments.runner import BEST_KEY, run_point
 
 #: per-experiment overrides that shrink the mini run (None = run as-is)
 _MINI_OVERRIDES = {
@@ -100,3 +103,56 @@ def test_campaign_summary_is_the_library_summary(tmp_path):
             n: v.hex() for n, v in getattr(lib, key).items()
         }, key
     assert payload["static_fraction"].hex() == lib.static_fraction.hex()
+
+
+#: the fields a campaign trial and a ``run_point`` trial must share, in hex
+_TRIAL_FIELDS = (
+    "successes",
+    "norm_power_inverse",
+    "mean_power_inverse",
+    "mean_static_fraction",
+)
+
+
+def _trial_families():
+    return [
+        name
+        for name in available_experiments()
+        if isinstance(get_experiment(name), TrialExperiment)
+    ]
+
+
+def _stats_hex(point):
+    return {
+        n: [
+            v.hex() if isinstance(v, float) else v
+            for v in (getattr(st, f) for f in _TRIAL_FIELDS)
+        ]
+        for n, st in point.stats.items()
+    }
+
+
+@pytest.mark.parametrize("name", _trial_families())
+def test_campaign_trial_is_a_run_point_trial(name, tmp_path):
+    """Every Monte-Carlo family is ``run_point`` on its points and roster:
+    the fold of its pooled shards equals ``run_point`` at ``jobs`` 1 and 2,
+    labelled ``(label, factory)`` members included."""
+    exp = get_experiment(name)
+    mini = dict(trials=4)
+    if "chunk" in {f.name for f in fields(exp)}:
+        mini["chunk"] = 2
+    if "x_values" in {f.name for f in fields(exp)}:
+        mini["x_values"] = _MINI_OVERRIDES[name]["x_values"][:1]
+    exp = replace(exp, **mini)
+    store = ArtifactStore(tmp_path)
+    assert prefetch_shards(exp, jobs=2, store=store)[2] == 0
+    folded = exp.fold([store.load_shard(exp, s.key) for s in exp.shards()])
+    assert len(folded) == len(exp.points())
+    for point, (mesh, power, workload, seed, x) in zip(folded, exp.points()):
+        assert list(point.stats)[-1] == BEST_KEY
+        for jobs in (1, 2):
+            direct = run_point(
+                mesh, power, workload, 4, seed, exp.roster(), x=x, jobs=jobs
+            )
+            assert direct.x == point.x
+            assert _stats_hex(direct) == _stats_hex(point), (x, jobs)

@@ -8,10 +8,9 @@ and single-hop communications.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro import Communication, Mesh, PowerModel, RoutingProblem
+from repro import Communication, Mesh, RoutingProblem
 from repro.heuristics import available_heuristics, get_heuristic
 from repro.mesh.paths import CommDag
 from repro.multipath import AdaptiveSplitRepair, SplitTwoBend

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro import Communication, Mesh, PowerModel, RoutingProblem
+from repro import Communication, RoutingProblem
 from repro.heuristics import (
     META_HEURISTICS,
     GeneticRouting,

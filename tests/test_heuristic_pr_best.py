@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import Communication, Mesh, PowerModel, RoutingProblem
-from repro.heuristics import BestOf, PathRemover, XYRouting, PAPER_HEURISTICS
+from repro import Communication, RoutingProblem
+from repro.heuristics import BestOf, PathRemover, XYRouting
 from repro.heuristics.base import get_heuristic
 from repro.heuristics.best import best_of_results
 from repro.heuristics.path_remover import _CommState

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro import Mesh, PowerModel
 from repro.mesh.kernel import (
     FlatRoutingKernel,
-    links_from_vmask,
     moves_to_links_array,
     moves_to_vmask,
     stack_vmasks,

@@ -1,14 +1,13 @@
 """Tests for repro.multipath: the s-MP heuristics (STB and FWR)."""
 
-import numpy as np
 import pytest
 
-from repro import Communication, Mesh, PowerModel, RoutingProblem
+from repro import Communication, RoutingProblem
 from repro.core.rules import RoutingRule, complies_with_rule
 from repro.multipath import FrankWolfeRounding, SplitTwoBend
 from repro.optimal import optimal_single_path
 from repro.utils.validation import InvalidParameterError
-from repro.workloads import single_pair_workload, uniform_random_workload
+from repro.workloads import single_pair_workload
 from tests.conftest import make_random_problem
 
 

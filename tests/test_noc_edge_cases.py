@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro import Communication, Mesh, PowerModel, Routing, RoutingProblem
+from repro import Communication, Mesh, Routing, RoutingProblem
 from repro.noc import ArrayFlitSimulator
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Communication, Mesh, PowerModel, RoutingProblem
+from repro import Communication, Mesh, RoutingProblem
 from repro.core.routing import Routing
 from repro.heuristics import get_heuristic
 from repro.noc import (

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Communication, Mesh, PowerModel, RoutingProblem
+from repro import Communication, PowerModel, RoutingProblem
 from repro.heuristics import BestOf
 from repro.optimal import (
     frank_wolfe_relaxation,

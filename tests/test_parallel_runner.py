@@ -11,6 +11,7 @@ import pathlib
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,12 @@ from repro.experiments.runner import (
     _chunk_bounds,
     _draw_trial_problem,
 )
-from repro.heuristics import available_heuristics, get_heuristic
+from repro.heuristics import (
+    XYImprover,
+    XYRouting,
+    available_heuristics,
+    get_heuristic,
+)
 from repro.noc.sweep import latency_sweep
 from repro.utils import pool as pool_module
 from repro.utils.rng import spawn_rngs
@@ -214,6 +220,42 @@ class TestPlumbing:
                 run_point(mesh, power, workload, 1, 7, ("XY",), jobs=bad)
             with pytest.raises(InvalidParameterError, match="jobs must be"):
                 run_sweep(_small_sweep(points=1, trials=1), jobs=bad)
+
+    def test_runner_rejects_duplicate_label(self, point_args):
+        """Two members under one label would share one outcome key: the
+        second would overwrite the first, and BEST would see both."""
+        mesh, power, workload = point_args
+        twice = (("SA", "SA"), ("XY", ("XY", partial(XYRouting))))
+        for roster in twice:
+            with pytest.raises(InvalidParameterError, match="repeated"):
+                run_point(mesh, power, workload, 2, 3, roster)
+
+    def test_runner_rejects_best_label(self, point_args):
+        mesh, power, workload = point_args
+        with pytest.raises(InvalidParameterError, match="reserved"):
+            run_point(
+                mesh, power, workload, 2, 3, ("XY", (BEST_KEY, XYRouting))
+            )
+
+    def test_labelled_members_key_the_stats(self, point_args):
+        """A ``(label, factory)`` member is a registry member under its
+        own label: the same trials give the same stats."""
+        mesh, power, workload = point_args
+        named = run_point(mesh, power, workload, 4, 9, ("XY", "XYI"))
+        labelled = run_point(
+            mesh,
+            power,
+            workload,
+            4,
+            9,
+            ("XY", ("XY-start", partial(XYImprover, start="XY"))),
+            jobs=2,
+        )
+        assert list(labelled.stats) == ["XY", "XY-start", BEST_KEY]
+        for field in _DETERMINISTIC_FIELDS[1:]:
+            assert getattr(named.stats["XYI"], field) == getattr(
+                labelled.stats["XY-start"], field
+            ), field
 
     def test_workload_factories_picklable(self):
         import pickle

@@ -10,7 +10,7 @@ heuristics win when dynamic power dominates.
 
 import pytest
 
-from repro import Communication, Mesh, PowerModel, RoutingProblem
+from repro import Communication, PowerModel, RoutingProblem
 from repro.heuristics import get_heuristic
 from repro.workloads import uniform_random_workload
 

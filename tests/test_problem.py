@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Communication, Mesh, PowerModel, RoutingProblem
+from repro import Communication, Mesh, RoutingProblem
 from repro.utils.validation import InvalidParameterError
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import Communication, Mesh, PowerModel, RoutingProblem
@@ -11,7 +10,7 @@ from repro.heuristics import get_heuristic
 from repro.mesh.paths import Path
 from repro.multipath import AdaptiveSplitRepair
 from repro.noc import ArrayFlitSimulator, reorder_stats, worst_reorder_buffer
-from repro.noc.reorder import ReorderStats, _comm_stats
+from repro.noc.reorder import _comm_stats
 from repro.noc.simulator import PacketRecord
 from repro.utils.validation import InvalidParameterError
 

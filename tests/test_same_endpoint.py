@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Communication, Mesh, PowerModel, RoutingProblem
-from repro.core.routing import Routing
 from repro.optimal import (
     flow_to_routing,
     optimal_same_endpoint_single_path,

@@ -12,7 +12,6 @@ Three families of properties:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,7 +2,6 @@
 
 import pickle
 
-import numpy as np
 import pytest
 
 from repro import Mesh

@@ -8,7 +8,6 @@ SIGTERM the supervisor expecting a clean fan-out drain (exit 0).
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import signal

@@ -7,7 +7,7 @@ import xml.dom.minidom as minidom
 import numpy as np
 import pytest
 
-from repro import Mesh, PowerModel, RoutingProblem
+from repro import Mesh
 from repro.core.routing import Routing
 from repro.mesh.paths import Path
 from repro.utils.validation import InvalidParameterError

@@ -2,14 +2,13 @@
 and the Theorem 3 NP-reduction gadget."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Mesh, PowerModel, RoutingProblem
+from repro import PowerModel, RoutingProblem
 from repro.heuristics import get_heuristic
 from repro.theory import (
     build_reduction,
